@@ -134,7 +134,8 @@ def _first_collision(values: np.ndarray) -> tuple[int, int]:
 def verify_irregular(g: Graph, f: EdgeLabeling) -> Verdict:
     """Check that all vertex weights are pairwise distinct."""
     profile = vertex_weights(g, f)
-    if np.unique(profile.weights).size == g.order:
+    ordered = np.sort(profile.weights)
+    if not (ordered[1:] == ordered[:-1]).any():
         return Verdict(ok=True)
     return Verdict(ok=False, kind="duplicate-weight", pair=_first_collision(profile.weights))
 
@@ -192,9 +193,13 @@ def certificate_from_json(text: str) -> Certificate:
     if not isinstance(order, int) or order > ORDER_LIMIT:
         raise FormatError("certificate order missing or out of range")
     try:
+        labels = np.asarray(doc["labels"])
+        # floats would be truncated; strings and ints beyond int64 convert to other kinds
+        if labels.dtype.kind != "i":
+            raise FormatError(f"labels must be JSON integers within int64, got dtype {labels.dtype}")
         graph = Graph(order, doc["edges"])
-        labeling = EdgeLabeling(doc["labels"])
-    except ValueError as exc:
+        labeling = EdgeLabeling(labels)
+    except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(str(exc)) from exc
     if labeling.k != doc["k"]:
         raise FormatError(f"stored k={doc['k']} but max label is {labeling.k}")

@@ -1,21 +1,23 @@
 """Exhaustive computation of exact strengths with certificates.
 
 Search runs iterative deepening on the max label k, starting from the
-counting lower bound. At each k a depth-first scan assigns edges in
-canonical order; a vertex whose incident edges are all assigned is final,
-and its weight (residue, in modular mode) must differ from every other
-final vertex, otherwise the branch is cut. The first full assignment in
-canonical DFS order is returned, so the minimal feasible k yields a
-deterministic certificate. ``count_labelings`` is an independent
-full-enumeration oracle with no pruning at all; it exists to cross-check
-the search, not to be fast.
+counting lower bound. At each k a depth-first scan assigns edges in a
+search order fixed once per ``solve`` call: a greedy permutation that
+always takes next the edge closing the most vertices, so that vertices
+become final early. A vertex whose incident edges are all assigned is
+final, and its weight (residue, in modular mode) must differ from every
+other final vertex, otherwise the branch is cut. The first full assignment
+in search-order DFS is mapped back to canonical edge order and returned,
+so the minimal feasible k yields a deterministic certificate.
+``count_labelings`` is an independent full-enumeration oracle with no
+pruning at all; it exists to cross-check the search, not to be fast.
 
-Multi-worker runs fan the label choices of the first edge out to a thread
-pool; each worker is an independent sequential DFS over its subtree and
-results are reduced in first-edge-label order, which reproduces the
-single-threaded certificate bit for bit. A worker aborts early only when
-a strictly smaller first label has already succeeded, which cannot change
-the reduced result.
+Multi-worker runs fan the label choices of the first edge in search order
+out to a thread pool; each worker is an independent sequential DFS over
+its subtree and results are reduced in first-edge-label order, which
+reproduces the single-threaded certificate bit for bit. A worker aborts
+early only when a strictly smaller first label has already succeeded,
+which cannot change the reduced result.
 """
 
 from __future__ import annotations
@@ -89,32 +91,63 @@ class StrengthResult:
         return json.dumps(doc, separators=(",", ":"))
 
 
-def _closing_vertices(g: Graph) -> list[list[int]]:
-    """closing[e] = vertices whose last incident edge (canonical order) is e."""
-    last = {}
-    for e, (u, v) in enumerate(g.edge_tuples()):
-        last[u] = e
-        last[v] = e
-    closing: list[list[int]] = [[] for _ in range(g.size)]
-    for v, e in last.items():
-        closing[e].append(v)
-    return closing
+def _search_order(g: Graph) -> list[int]:
+    """Canonical edge indices in the order the search assigns them.
+
+    Each step takes the unassigned edge that closes the most vertices (is
+    the last unassigned edge at either endpoint); ties go to the smallest
+    sum of the endpoints' unassigned degrees, then to the lowest index.
+    """
+    ends = g.edge_tuples()
+    remaining = [0] * g.order
+    for u, v in ends:
+        remaining[u] += 1
+        remaining[v] += 1
+
+    def rank(e: int) -> tuple[int, int, int]:
+        u, v = ends[e]
+        closes = (remaining[u] == 1) + (remaining[v] == 1)
+        return -closes, remaining[u] + remaining[v], e
+
+    unassigned = set(range(g.size))
+    order = []
+    while unassigned:
+        e = min(unassigned, key=rank)
+        unassigned.remove(e)
+        order.append(e)
+        u, v = ends[e]
+        remaining[u] -= 1
+        remaining[v] -= 1
+    return order
 
 
 class _Search:
-    """Sequential DFS at a fixed k over one graph; reusable across workers."""
+    """Sequential DFS at a fixed k over one graph; reusable across workers.
 
-    def __init__(self, g: Graph, mode: str, k: int):
+    Position i of the search assigns canonical edge ``perm[i]``; labels are
+    kept in search order and mapped back by ``run``.
+    """
+
+    def __init__(self, g: Graph, mode: str, k: int, perm: list[int]):
         self.k = k
         self.order = g.order
         self.size = g.size
-        self.ends = g.edge_tuples()
-        self.closing = _closing_vertices(g)
+        self.perm = perm
+        edges = g.edge_tuples()
+        self.ends = [edges[e] for e in perm]
+        # closing[i] = vertices whose last incident edge in search order is at i
+        last = {}
+        for i, (u, v) in enumerate(self.ends):
+            last[u] = i
+            last[v] = i
+        self.closing: list[list[int]] = [[] for _ in range(g.size)]
+        for v, i in last.items():
+            self.closing[i].append(v)
         self.modulus = g.order if mode == MODE_MS else 0
         self.nodes = 0
 
     def run(self, first_label: int | None = None, count_all: bool = False, abort=None):
-        """Returns (labels-of-first-solution or None, solution count)."""
+        """Returns (canonical labels of the first solution or None, solution count)."""
         labels = [0] * self.size
         weights = [0] * self.order
         finals: set[int] = set()
@@ -161,14 +194,19 @@ class _Search:
             return False
 
         descend(0)
-        return best, count
+        if best is None:
+            return None, count
+        canonical = [0] * self.size
+        for i, e in enumerate(self.perm):
+            canonical[e] = best[i]
+        return canonical, count
 
 
-def _search_at_k(g: Graph, mode: str, k: int, cfg: SolverConfig):
+def _search_at_k(g: Graph, mode: str, k: int, cfg: SolverConfig, perm: list[int]):
     """(solution labels or None, count or None, nodes) at one fixed k."""
     counting = cfg.count_solutions
     if cfg.thread_count == 1 or g.size == 0 or k == 1:
-        search = _Search(g, mode, k)
+        search = _Search(g, mode, k, perm)
         if counting:
             best, count = search.run(count_all=True)
             return best, count, search.nodes
@@ -178,7 +216,7 @@ def _search_at_k(g: Graph, mode: str, k: int, cfg: SolverConfig):
     found_at: list[int] = [k + 1]  # smallest first label with a solution
 
     def worker(first: int):
-        search = _Search(g, mode, k)
+        search = _Search(g, mode, k, perm)
         abort = None if counting else (lambda: found_at[0] < first)
         best, count = search.run(first_label=first, count_all=counting, abort=abort)
         if best is not None and first < found_at[0]:
@@ -226,9 +264,10 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     if k_max < lb:
         raise ValueError(f"k_max={k_max} is below the lower bound {lb}")
 
+    perm = _search_order(g)
     nodes = 0
     for k in range(lb, k_max + 1):
-        best, count, k_nodes = _search_at_k(g, mode, k, cfg)
+        best, count, k_nodes = _search_at_k(g, mode, k, cfg, perm)
         nodes += k_nodes
         if best is not None:
             labeling = EdgeLabeling(best)

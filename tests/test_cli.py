@@ -145,6 +145,31 @@ class TestVerifyVerb:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("labels", [3.7, 1.2, 2.9]),  # would truncate to a valid labeling
+            ("labels", ["3", "1", "2"]),
+            ("labels", [2**70, 1, 2]),
+            ("edges", None),
+        ],
+        ids=["float-labels", "string-labels", "label-2^70", "edges-null"],
+    )
+    def test_non_integer_input_is_format_error(self, capsys, tmp_path, field, value):
+        doc = {"order": 3, "edges": [[0, 1], [0, 2], [1, 2]], "labels": [3, 1, 2],
+               "weights": [4, 5, 3], "residues": [1, 2, 0], "k": 3, "mode": "irregular"}
+        doc[field] = value
+        graph_file = tmp_path / "g.txt"
+        cert_file = tmp_path / "c.json"
+        graph_file.write_text("3 3\n0 1\n0 2\n1 2\n")
+        cert_file.write_text(json.dumps(doc))
+        code, out, err = invoke(
+            capsys, "verify", "--graph", str(graph_file), "--cert", str(cert_file),
+            "--mode", "irregular",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error:")
+
 
 class TestBoundVerb:
     def test_finite(self, capsys, tmp_path):

@@ -15,6 +15,7 @@ from irrstrength import (
     verify_modular,
 )
 from irrstrength.books import irregular_strength, modular_strength
+from irrstrength.solver import _search_order
 
 from conftest import random_solid_graph
 
@@ -175,6 +176,37 @@ class TestMinimality:
         for n in (2, 3, 5, 6):
             g = make_triangular_book(n)
             assert solve(g, "s").k >= lower_bound_s(g)
+
+
+class TestSearchOrder:
+    def test_is_a_permutation_of_the_edges(self):
+        rng = random.Random(31)
+        graphs = [C3, make_family("star", 4), make_triangular_book(1), make_triangular_book(7)]
+        graphs += [random_solid_graph(rng, 3, 9) for _ in range(10)]
+        for g in graphs:
+            assert sorted(_search_order(g)) == list(range(g.size))
+
+    def test_minimal_k_agrees_with_enumeration(self):
+        rng = random.Random(2024)
+        for _ in range(30):
+            g = random_solid_graph(rng, 3, 7)
+            for mode in ("s", "ms"):
+                if mode == "ms" and g.order % 4 == 2:
+                    continue
+                k = solve(g, mode).k
+                assert count_labelings(g, mode, k) > 0
+                if k - 1 >= lower_bound_s(g):
+                    assert count_labelings(g, mode, k - 1) == 0
+
+    def test_book_ten_irregular_node_guard(self):
+        result = solve(make_triangular_book(10), "s")
+        assert result.k == 6
+        assert result.nodes < 10_000
+
+    def test_book_thirteen_modular_solves(self):
+        result = solve(make_triangular_book(13), "ms")
+        assert result.outcome == "finite"
+        assert result.k == 7
 
 
 class TestDeterminism:
