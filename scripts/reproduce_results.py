@@ -13,11 +13,9 @@ Usage:
 """
 
 import argparse
-import math
 import time
 
 from irrstrength import (
-    SolverConfig,
     count_labelings,
     lower_bound_s,
     make_triangular_book,
@@ -33,32 +31,18 @@ from irrstrength.books import (
     modular_strength,
     predicted_weights,
 )
-
-
-def fmt(value) -> str:
-    return "inf" if isinstance(value, float) and math.isinf(value) else str(value)
+from irrstrength.cli import fmt_strength, table_rows
 
 
 def strength_table(table_to: int, solve_upto: int) -> None:
     print(f"{'n':>5} {'bound':>6} {'s':>5} {'ms':>5} {'s_solved':>9} {'ms_solved':>10}")
-    cfg = SolverConfig()
-    for n in range(1, table_to + 1):
+    for n, s_val, ms_val, s_solved, ms_solved in table_rows(1, table_to, solve_upto):
         bound = lower_bound_s(make_triangular_book(n))
-        s_val = irregular_strength(n)
-        ms_val = modular_strength(n)
         if n <= solve_upto:
-            g = make_triangular_book(n)
-            rs = solve(g, "s", cfg)
-            rm = solve(g, "ms", cfg)
-            s_solved = str(rs.k) if rs.outcome == "finite" else rs.outcome
-            ms_solved = "inf" if rm.outcome == "infinite" else str(rm.k)
-            assert rs.k == s_val, n
-            assert (rm.outcome == "infinite") == (ms_val == math.inf), n
-            if rm.outcome == "finite":
-                assert rm.k == ms_val, n
-        else:
-            s_solved = ms_solved = "-"
-        print(f"{n:>5} {bound:>6} {fmt(s_val):>5} {fmt(ms_val):>5} {s_solved:>9} {ms_solved:>10}")
+            assert s_solved == s_val, n
+            assert ms_solved == ms_val, n
+        s, ms, s_out, ms_out = map(fmt_strength, (s_val, ms_val, s_solved, ms_solved))
+        print(f"{n:>5} {bound:>6} {s:>5} {ms:>5} {s_out:>9} {ms_out:>10}")
 
 
 def five_page_impossibility() -> None:

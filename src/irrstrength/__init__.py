@@ -6,8 +6,6 @@ exactly by exhaustive search.
 """
 
 from .books import (
-    BookCase,
-    classify,
     irregular_labeling,
     irregular_strength,
     modular_labeling,
@@ -23,10 +21,8 @@ from .bounds import (
     modular_infinite,
 )
 from .graphs import (
-    DegreeHistogram,
     FormatError,
     Graph,
-    degree_histogram,
     format_edge_list,
     make_family,
     make_triangular_book,
@@ -50,10 +46,8 @@ from .solver import SolverConfig, StrengthResult, count_labelings, solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "BookCase",
     "BoundReport",
     "Certificate",
-    "DegreeHistogram",
     "EdgeLabeling",
     "FormatError",
     "Graph",
@@ -65,9 +59,7 @@ __all__ = [
     "certificate_from_json",
     "certificate_to_dot",
     "certificate_to_json",
-    "classify",
     "count_labelings",
-    "degree_histogram",
     "format_edge_list",
     "has_small_component",
     "irregular_labeling",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import books
@@ -26,14 +25,7 @@ from .labelings import (
     verify_irregular,
     verify_modular,
 )
-from .solver import SolverConfig, solve
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("IRRSTRENGTH_THREADS", "1")))
-    except ValueError:
-        return 1
+from .solver import SolverConfig, StrengthResult, solve
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,14 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", choices=("s", "ms"), required=True)
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
 
     p = sub.add_parser("table", help="strength table over a range of page counts")
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="stop", type=int, required=True)
     p.add_argument("--solve-upto", dest="solve_upto", type=int, default=0,
                    help="also run the solver for n up to this cutoff")
-    p.add_argument("--threads", type=int, default=_default_threads())
 
     p = sub.add_parser("export", help="render a certificate")
     p.add_argument("--cert", required=True)
@@ -94,8 +84,32 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _fmt_strength(value) -> str:
-    return "inf" if math.isinf(value) else str(value)
+def fmt_strength(value) -> str:
+    """Table cell: "inf" for infinity, "-" for a value not computed."""
+    if value is None:
+        return "-"
+    return "inf" if value == math.inf else str(value)
+
+
+def table_rows(start: int, stop: int, solve_upto: int):
+    """Yield (n, s, ms, s_solved, ms_solved) for the books B_start..B_stop.
+
+    s and ms are the closed-form strengths. The solved values are the
+    solver's k (inf for an infinite outcome, the outcome name otherwise)
+    for n <= solve_upto, and None beyond it.
+    """
+    for n in range(start, stop + 1):
+        solved = (None, None)
+        if n <= solve_upto:
+            g = make_triangular_book(n)
+            solved = tuple(_solved_value(solve(g, mode)) for mode in ("s", "ms"))
+        yield (n, books.irregular_strength(n), books.modular_strength(n), *solved)
+
+
+def _solved_value(result: StrengthResult):
+    if result.outcome == "finite":
+        return result.k
+    return math.inf if result.outcome == "infinite" else result.outcome
 
 
 def _cmd_book(args) -> int:
@@ -147,13 +161,13 @@ def _cmd_bound(args) -> int:
     report = bound_report(g)
     print(f"s_lower {report.s_lower}")
     print(f"ms_infinite {'true' if report.ms_infinite else 'false'}")
-    print(f"ms_lower {_fmt_strength(report.ms_lower)}")
+    print(f"ms_lower {fmt_strength(report.ms_lower)}")
     return 0
 
 
 def _cmd_solve(args) -> int:
     g = parse_edge_list(_read(args.graph))
-    cfg = SolverConfig(k_max=args.kmax, thread_count=args.threads)
+    cfg = SolverConfig(k_max=args.kmax)
     result = solve(g, args.mode, cfg)
     print(result.to_json())
     print(f"stats nodes={result.nodes} time={result.elapsed:.3f}s", file=sys.stderr)
@@ -164,22 +178,9 @@ def _cmd_table(args) -> int:
     if args.start < 1 or args.stop < args.start:
         print("table range must satisfy 1 <= from <= to", file=sys.stderr)
         return 2
-    cfg = SolverConfig(thread_count=args.threads)
     print(f"{'n':>6} {'s':>6} {'ms':>6} {'s_solved':>9} {'ms_solved':>10}")
-    for n in range(args.start, args.stop + 1):
-        s_val = _fmt_strength(books.irregular_strength(n))
-        ms_val = _fmt_strength(books.modular_strength(n))
-        if n <= args.solve_upto:
-            g = make_triangular_book(n)
-            rs = solve(g, "s", cfg)
-            rm = solve(g, "ms", cfg)
-            s_solved = str(rs.k) if rs.outcome == "finite" else rs.outcome
-            ms_solved = str(rm.k) if rm.outcome == "finite" else rm.outcome
-            if rm.outcome == "infinite":
-                ms_solved = "inf"
-        else:
-            s_solved = "-"
-            ms_solved = "-"
+    for n, *values in table_rows(args.start, args.stop, args.solve_upto):
+        s_val, ms_val, s_solved, ms_solved = map(fmt_strength, values)
         print(f"{n:>6} {s_val:>6} {ms_val:>6} {s_solved:>9} {ms_solved:>10}")
     return 0
 

@@ -8,8 +8,6 @@ c_i = i + 1 so emitted certificates are comparable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 ORDER_LIMIT = 10**6
@@ -22,7 +20,7 @@ class FormatError(ValueError):
 class Graph:
     """Immutable simple graph: vertex count plus canonical sorted edge list."""
 
-    __slots__ = ("order", "_edges", "_incidence", "_degrees")
+    __slots__ = ("order", "_edges", "_degrees")
 
     def __init__(self, order: int, edges) -> None:
         if order < 0:
@@ -46,7 +44,6 @@ class Graph:
         arr.setflags(write=False)
         self.order = int(order)
         self._edges = arr
-        self._incidence = None
         self._degrees = None
 
     @classmethod
@@ -56,7 +53,6 @@ class Graph:
         arr.setflags(write=False)
         g.order = order
         g._edges = arr
-        g._incidence = None
         g._degrees = None
         return g
 
@@ -79,16 +75,6 @@ class Graph:
     def edge_tuples(self) -> list[tuple[int, int]]:
         return [(int(u), int(v)) for u, v in self._edges]
 
-    def incidence(self) -> list[list[int]]:
-        """Per-vertex lists of incident edge indexes (built once, cached)."""
-        if self._incidence is None:
-            inc: list[list[int]] = [[] for _ in range(self.order)]
-            for e, (u, v) in enumerate(self._edges):
-                inc[int(u)].append(e)
-                inc[int(v)].append(e)
-            self._incidence = inc
-        return self._incidence
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -108,14 +94,6 @@ def _is_canonical(arr: np.ndarray) -> bool:
     d0 = np.diff(arr[:, 0])
     d1 = np.diff(arr[:, 1])
     return bool(np.all((d0 > 0) | ((d0 == 0) & (d1 > 0))))
-
-
-@dataclass(frozen=True)
-class DegreeHistogram:
-    """Counts of vertices per occurring degree, plus the maximum degree."""
-
-    counts: dict[int, int]
-    max_degree: int
 
 
 def make_triangular_book(n: int) -> Graph:
@@ -163,15 +141,6 @@ def make_family(kind: str, size: int) -> Graph:
     raise ValueError(f"unknown family {kind!r}")
 
 
-def degree_histogram(g: Graph) -> DegreeHistogram:
-    deg = g.degrees()
-    if g.order == 0:
-        return DegreeHistogram(counts={}, max_degree=0)
-    binned = np.bincount(deg)
-    counts = {int(d): int(c) for d, c in enumerate(binned) if c > 0}
-    return DegreeHistogram(counts=counts, max_degree=int(deg.max()))
-
-
 def format_edge_list(g: Graph) -> str:
     """Edge-list text: first line ``order m``, then one ``u v`` line per edge."""
     lines = [f"{g.order} {g.size}"]
@@ -180,6 +149,9 @@ def format_edge_list(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
+    # int() would also take a sign, "1_0" and non-ASCII digits such as "١"
+    if not text.isascii() or any(c in text for c in "+-_"):
+        raise FormatError("edge-list numbers must be unsigned ASCII decimals")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty edge-list input")

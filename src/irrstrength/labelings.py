@@ -172,6 +172,32 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
+def _json_ints(doc: dict, field: str, scan_bools: bool) -> np.ndarray:
+    """``doc[field]``, a JSON integer or nested lists of them, as an int64 array.
+
+    Floats, strings, nulls and integers beyond int64 give the array another
+    dtype kind. Booleans mixed with integers convert to 0 and 1, so they are
+    looked for element by element unless ``scan_bools`` is false. Anything
+    but integers is a FormatError.
+    """
+    value = doc[field]
+    try:
+        arr = np.asarray(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise FormatError(f"{field}: {exc}") from exc
+    if arr.size and arr.dtype.kind != "i":
+        raise FormatError(f"{field} must be JSON integers within int64, got dtype {arr.dtype}")
+    if scan_bools and _holds_bool(value):
+        raise FormatError(f"{field} must be JSON integers, got a boolean")
+    return arr.astype(np.int64, copy=False)
+
+
 def certificate_from_json(text: str) -> Certificate:
     """Parse and fully re-validate a certificate document.
 
@@ -180,7 +206,7 @@ def certificate_from_json(text: str) -> Certificate:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the recursion limit
         raise FormatError(f"bad certificate JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("certificate must be a JSON object")
@@ -189,26 +215,27 @@ def certificate_from_json(text: str) -> Certificate:
         raise FormatError(f"certificate missing fields: {sorted(missing)}")
     if doc["mode"] not in (IRREGULAR, MODULAR):
         raise FormatError(f"unknown certificate mode {doc['mode']!r}")
-    order = doc["order"]
-    if not isinstance(order, int) or order > ORDER_LIMIT:
+    # a JSON boolean is spelled out in the text; without one, none can be inside
+    scan_bools = "true" in text or "false" in text
+    order = _json_ints(doc, "order", scan_bools)
+    if order.ndim or order > ORDER_LIMIT:
         raise FormatError("certificate order missing or out of range")
+    edges = _json_ints(doc, "edges", scan_bools)
+    labels = _json_ints(doc, "labels", scan_bools)
     try:
-        labels = np.asarray(doc["labels"])
-        # floats would be truncated; strings and ints beyond int64 convert to other kinds
-        if labels.dtype.kind != "i":
-            raise FormatError(f"labels must be JSON integers within int64, got dtype {labels.dtype}")
-        graph = Graph(order, doc["edges"])
+        graph = Graph(int(order), edges)
         labeling = EdgeLabeling(labels)
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(str(exc)) from exc
-    if labeling.k != doc["k"]:
+    k = _json_ints(doc, "k", scan_bools)
+    if k.ndim or labeling.k != k:
         raise FormatError(f"stored k={doc['k']} but max label is {labeling.k}")
     if len(labeling) != graph.size:
         raise FormatError("labels not aligned with edge list")
     profile = vertex_weights(graph, labeling)
-    if not np.array_equal(profile.weights, np.asarray(doc["weights"], dtype=np.int64)):
+    if not np.array_equal(profile.weights, _json_ints(doc, "weights", scan_bools)):
         raise FormatError("stored weights do not match recomputation")
-    if not np.array_equal(profile.residues, np.asarray(doc["residues"], dtype=np.int64)):
+    if not np.array_equal(profile.residues, _json_ints(doc, "residues", scan_bools)):
         raise FormatError("stored residues do not match recomputation")
     return Certificate(graph=graph, labeling=labeling, profile=profile, mode=doc["mode"])
 

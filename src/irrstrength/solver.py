@@ -11,13 +11,6 @@ in search-order DFS is mapped back to canonical edge order and returned,
 so the minimal feasible k yields a deterministic certificate.
 ``count_labelings`` is an independent full-enumeration oracle with no
 pruning at all; it exists to cross-check the search, not to be fast.
-
-Multi-worker runs fan the label choices of the first edge in search order
-out to a thread pool; each worker is an independent sequential DFS over
-its subtree and results are reduced in first-edge-label order, which
-reproduces the single-threaded certificate bit for bit. A worker aborts
-early only when a strictly smaller first label has already succeeded,
-which cannot change the reduced result.
 """
 
 from __future__ import annotations
@@ -26,7 +19,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, product
 
@@ -58,14 +50,11 @@ _COUNT_GUARD_BITS = 40.0
 @dataclass
 class SolverConfig:
     k_max: int | None = None  # None: 2 * order + 2
-    thread_count: int = 1
     count_solutions: bool = False
 
     def __post_init__(self) -> None:
         if self.k_max is not None and self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.thread_count < 1:
-            raise ValueError("thread_count must be >= 1")
 
 
 @dataclass(eq=False)
@@ -122,7 +111,7 @@ def _search_order(g: Graph) -> list[int]:
 
 
 class _Search:
-    """Sequential DFS at a fixed k over one graph; reusable across workers.
+    """Depth-first search at a fixed k over one graph.
 
     Position i of the search assigns canonical edge ``perm[i]``; labels are
     kept in search order and mapped back by ``run``.
@@ -146,7 +135,7 @@ class _Search:
         self.modulus = g.order if mode == MODE_MS else 0
         self.nodes = 0
 
-    def run(self, first_label: int | None = None, count_all: bool = False, abort=None):
+    def run(self, count_all: bool = False):
         """Returns (canonical labels of the first solution or None, solution count)."""
         labels = [0] * self.size
         weights = [0] * self.order
@@ -165,11 +154,7 @@ class _Search:
                 return not count_all
             u, v = self.ends[e]
             closing = self.closing[e]
-            if e == 0 and first_label is not None:
-                lo = hi = first_label
-            else:
-                lo, hi = 1, self.k
-            for lab in range(lo, hi + 1):
+            for lab in range(1, self.k + 1):
                 self.nodes += 1
                 labels[e] = lab
                 weights[u] += lab
@@ -189,8 +174,6 @@ class _Search:
                     finals.remove(val)
                 weights[u] -= lab
                 weights[v] -= lab
-            if abort is not None and abort():
-                return True
             return False
 
         descend(0)
@@ -200,39 +183,6 @@ class _Search:
         for i, e in enumerate(self.perm):
             canonical[e] = best[i]
         return canonical, count
-
-
-def _search_at_k(g: Graph, mode: str, k: int, cfg: SolverConfig, perm: list[int]):
-    """(solution labels or None, count or None, nodes) at one fixed k."""
-    counting = cfg.count_solutions
-    if cfg.thread_count == 1 or g.size == 0 or k == 1:
-        search = _Search(g, mode, k, perm)
-        if counting:
-            best, count = search.run(count_all=True)
-            return best, count, search.nodes
-        best, _ = search.run()
-        return best, None, search.nodes
-
-    found_at: list[int] = [k + 1]  # smallest first label with a solution
-
-    def worker(first: int):
-        search = _Search(g, mode, k, perm)
-        abort = None if counting else (lambda: found_at[0] < first)
-        best, count = search.run(first_label=first, count_all=counting, abort=abort)
-        if best is not None and first < found_at[0]:
-            found_at[0] = first  # GIL-atomic publication; monotone, so races are benign
-        return best, count, search.nodes
-
-    with ThreadPoolExecutor(max_workers=cfg.thread_count) as pool:
-        results = list(pool.map(worker, range(1, k + 1)))
-
-    nodes = sum(r[2] for r in results)
-    if counting:
-        total = sum(r[1] for r in results)
-        best = next((r[0] for r in results if r[0] is not None), None)
-        return best, total, nodes
-    best = next((r[0] for r in results if r[0] is not None), None)
-    return best, None, nodes
 
 
 def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResult:
@@ -267,8 +217,9 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     perm = _search_order(g)
     nodes = 0
     for k in range(lb, k_max + 1):
-        best, count, k_nodes = _search_at_k(g, mode, k, cfg, perm)
-        nodes += k_nodes
+        search = _Search(g, mode, k, perm)
+        best, count = search.run(count_all=cfg.count_solutions)
+        nodes += search.nodes
         if best is not None:
             labeling = EdgeLabeling(best)
             cert_mode = MODULAR if mode == MODE_MS else IRREGULAR
@@ -283,7 +234,7 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
                 outcome=FINITE,
                 k=k,
                 certificate=cert,
-                solution_count=count,
+                solution_count=count if cfg.count_solutions else None,
                 nodes=nodes,
                 elapsed=time.monotonic() - start,
             )

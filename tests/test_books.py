@@ -3,7 +3,7 @@ import math
 import pytest
 
 from irrstrength import (
-    classify,
+    EdgeLabeling,
     irregular_labeling,
     irregular_strength,
     make_triangular_book,
@@ -14,7 +14,7 @@ from irrstrength import (
     verify_modular,
     vertex_weights,
 )
-from irrstrength.books import CASE_TAGS
+from irrstrength.books import _case
 
 
 class TestStrengthFormulas:
@@ -153,6 +153,8 @@ class TestPredictedWeights:
 
 
 class TestCaseClassification:
+    """The case table: one record per construction, consistent with itself."""
+
     @pytest.mark.parametrize(
         "theorem,n,tag",
         [
@@ -171,17 +173,26 @@ class TestCaseClassification:
         ],
     )
     def test_dispatch(self, theorem, n, tag):
-        case = classify(theorem, n)
-        assert case.tag == tag
-        assert case.theorem == theorem
+        case = _case(theorem, n)
+        if tag == "infinite":
+            assert (case.strength, case.labels, case.weights) == (math.inf, None, None)
+            return
+        g = make_triangular_book(n)
+        f = EdgeLabeling(case.labels())
+        verify = verify_irregular if theorem == 1 else verify_modular
+        assert verify(g, f).ok
+        assert f.k == case.strength
+        weights = vertex_weights(g, f).weights.tolist()
+        assert weights[: len(case.weights)] == list(case.weights)
 
     @pytest.mark.parametrize("theorem", [1, 2])
     def test_total_over_all_pages(self, theorem):
         for n in range(1, 400):
-            assert classify(theorem, n).tag in CASE_TAGS
+            case = _case(theorem, n)
+            assert (case.labels is None) == (case.weights is None) == (case.strength == math.inf)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            classify(3, 1)
+            _case(3, 1)
         with pytest.raises(ValueError):
-            classify(1, 0)
+            _case(1, 0)

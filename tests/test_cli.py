@@ -152,8 +152,15 @@ class TestVerifyVerb:
             ("labels", ["3", "1", "2"]),
             ("labels", [2**70, 1, 2]),
             ("edges", None),
+            ("edges", [[0.9, 1.5], [0, 2], [1, 2]]),  # would truncate to the triangle
+            ("edges", [[False, True], [0, 2], [1, 2]]),
+            ("labels", [3, True, 2]),  # would read as the valid [3, 1, 2]
+            ("weights", [4.7, 5.2, 3.9]),
+            ("residues", [1.0, 2.0, 0.0]),
+            ("k", 3.0),
         ],
-        ids=["float-labels", "string-labels", "label-2^70", "edges-null"],
+        ids=["float-labels", "string-labels", "label-2^70", "edges-null", "float-edges",
+             "bool-edges", "bool-labels", "float-weights", "float-residues", "float-k"],
     )
     def test_non_integer_input_is_format_error(self, capsys, tmp_path, field, value):
         doc = {"order": 3, "edges": [[0, 1], [0, 2], [1, 2]], "labels": [3, 1, 2],
@@ -194,6 +201,19 @@ class TestBoundVerb:
         code, _, err = invoke(capsys, "bound", "--graph", str(bad))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "text",
+        ["3 1\n0 \u0661\n", "3 1\n0 +1\n", "3 1\n-0 1\n", "1_0 1\n0 1\n",
+         "3 1\n0 1" + "0" * 5000 + "\n"],
+        ids=["arabic-indic-digit", "plus-sign", "minus-zero", "underscore", "past-digit-limit"],
+    )
+    def test_non_decimal_token_is_format_error(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = invoke(capsys, "bound", "--graph", str(bad))
+        assert (code, out) == (3, "")
+        assert err.startswith("error:")
+
 
 class TestSolveVerb:
     def test_modular_book_five(self, capsys, tmp_path):
@@ -223,23 +243,6 @@ class TestSolveVerb:
         )
         assert code == 2
         assert "below the lower bound" in err
-
-    def test_threads_flag(self, capsys, tmp_path):
-        graph_file = tmp_path / "g.txt"
-        _, out, _ = invoke(capsys, "book", "--n", "5")
-        graph_file.write_text(out)
-        code, out, _ = invoke(
-            capsys, "solve", "--graph", str(graph_file), "--mode", "ms", "--threads", "3"
-        )
-        assert code == 0
-        assert json.loads(out)["k"] == 4
-
-    def test_threads_env_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("IRRSTRENGTH_THREADS", "2")
-        from irrstrength.cli import build_parser
-
-        args = build_parser().parse_args(["solve", "--graph", "x", "--mode", "s"])
-        assert args.threads == 2
 
 
 class TestTableVerb:

@@ -4,7 +4,6 @@ import pytest
 from irrstrength import (
     FormatError,
     Graph,
-    degree_histogram,
     format_edge_list,
     make_family,
     make_triangular_book,
@@ -115,28 +114,6 @@ class TestFamilies:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown family"):
             make_family("wheel", 5)
-
-
-class TestDegreeHistogram:
-    def test_book_five(self):
-        hist = degree_histogram(make_triangular_book(5))
-        assert hist.counts == {2: 5, 6: 2}
-        assert hist.max_degree == 6
-
-    def test_book_two(self):
-        hist = degree_histogram(make_triangular_book(2))
-        assert hist.counts == {2: 2, 3: 2}
-        assert hist.max_degree == 3
-
-    def test_cycle_is_two_regular(self):
-        hist = degree_histogram(make_family("cycle", 3))
-        assert hist.counts == {2: 3}
-        assert hist.max_degree == 2
-
-    def test_counts_sum_to_order(self):
-        for n in (1, 2, 9, 40):
-            g = make_triangular_book(n)
-            assert sum(degree_histogram(g).counts.values()) == g.order
 
 
 class TestEdgeListFormat:

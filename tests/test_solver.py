@@ -104,8 +104,6 @@ class TestSolveEdgeCases:
     def test_bad_config(self):
         with pytest.raises(ValueError):
             SolverConfig(k_max=0)
-        with pytest.raises(ValueError):
-            SolverConfig(thread_count=0)
 
 
 class TestCountLabelings:
@@ -153,13 +151,6 @@ class TestCountLabelings:
                 result = solve(g, mode, SolverConfig(count_solutions=True))
                 assert result.outcome == "finite"
                 assert result.solution_count == count_labelings(g, mode, result.k)
-
-    def test_solver_count_identical_across_thread_counts(self):
-        g = make_triangular_book(3)
-        single = solve(g, "ms", SolverConfig(count_solutions=True, thread_count=1))
-        multi = solve(g, "ms", SolverConfig(count_solutions=True, thread_count=4))
-        assert single.solution_count == multi.solution_count
-        assert single.certificate == multi.certificate
 
 
 class TestMinimality:
@@ -212,31 +203,9 @@ class TestSearchOrder:
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self):
         g = make_triangular_book(5)
-        a = solve(g, "ms", SolverConfig(thread_count=1))
-        b = solve(g, "ms", SolverConfig(thread_count=1))
+        a = solve(g, "ms")
+        b = solve(g, "ms")
         assert certificate_to_json(a.certificate) == certificate_to_json(b.certificate)
-
-    @pytest.mark.parametrize("threads", [2, 3, 5])
-    def test_multithreaded_matches_single(self, threads):
-        for g, mode in [
-            (make_triangular_book(5), "ms"),
-            (make_triangular_book(4), "s"),
-            (make_family("cycle", 5), "s"),
-            (make_family("star", 4), "s"),
-        ]:
-            single = solve(g, mode, SolverConfig(thread_count=1))
-            multi = solve(g, mode, SolverConfig(thread_count=threads))
-            assert single.k == multi.k
-            assert single.certificate == multi.certificate
-
-    def test_multithreaded_random_instances(self):
-        rng = random.Random(905)
-        for _ in range(25):
-            g = random_solid_graph(rng, 3, 6)
-            single = solve(g, "s", SolverConfig(thread_count=1))
-            multi = solve(g, "s", SolverConfig(thread_count=3))
-            assert single.k == multi.k
-            assert single.certificate == multi.certificate
 
 
 class TestResultJson:
