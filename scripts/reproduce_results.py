@@ -18,11 +18,10 @@ import time
 from irrstrength import (
     count_labelings,
     lower_bound_s,
+    make_certificate,
     make_triangular_book,
     solve,
-    verify_irregular,
-    verify_modular,
-    vertex_weights,
+    verify_profile,
 )
 from irrstrength.books import (
     irregular_labeling,
@@ -62,13 +61,15 @@ def construction_sweep(sweep_to: int) -> None:
     modular_checked = 0
     for n in range(1, sweep_to + 1):
         g = make_triangular_book(n)
-        f = irregular_labeling(n)
-        assert verify_irregular(g, f).ok and f.k == irregular_strength(n), n
-        assert vertex_weights(g, f) == predicted_weights(n, theorem=1), n
+        cert = make_certificate(g, irregular_labeling(n), "irregular")
+        assert verify_profile(cert.profile, "irregular").ok, n
+        assert cert.labeling.k == irregular_strength(n), n
+        assert cert.profile == predicted_weights(n, theorem=1), n
         if n % 4 != 0:
-            fm = modular_labeling(n)
-            assert verify_modular(g, fm).ok and fm.k == modular_strength(n), n
-            assert vertex_weights(g, fm) == predicted_weights(n, theorem=2), n
+            cert = make_certificate(g, modular_labeling(n), "modular")
+            assert verify_profile(cert.profile, "modular").ok, n
+            assert cert.labeling.k == modular_strength(n), n
+            assert cert.profile == predicted_weights(n, theorem=2), n
             modular_checked += 1
     print(
         f"\nconstructions verified for n = 1..{sweep_to} "

@@ -16,7 +16,6 @@ from .bounds import (
     BoundReport,
     bound_report,
     has_small_component,
-    lower_bound_ms,
     lower_bound_s,
     modular_infinite,
 )
@@ -39,6 +38,7 @@ from .labelings import (
     make_certificate,
     verify_irregular,
     verify_modular,
+    verify_profile,
     vertex_weights,
 )
 from .solver import SolverConfig, StrengthResult, count_labelings, solve
@@ -64,7 +64,6 @@ __all__ = [
     "has_small_component",
     "irregular_labeling",
     "irregular_strength",
-    "lower_bound_ms",
     "lower_bound_s",
     "make_certificate",
     "make_family",
@@ -77,5 +76,6 @@ __all__ = [
     "solve",
     "verify_irregular",
     "verify_modular",
+    "verify_profile",
     "vertex_weights",
 ]

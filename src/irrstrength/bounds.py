@@ -67,13 +67,6 @@ def modular_infinite(g: Graph) -> bool:
     return g.order % 4 == 2
 
 
-def lower_bound_ms(g: Graph) -> int | float:
-    """Lower bound for the modular irregularity strength (inf when none exists)."""
-    if modular_infinite(g):
-        return math.inf
-    return lower_bound_s(g)
-
-
 def bound_report(g: Graph) -> BoundReport:
     infinite = modular_infinite(g)
     s_lower = lower_bound_s(g)

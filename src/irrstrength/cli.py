@@ -22,8 +22,7 @@ from .labelings import (
     certificate_to_dot,
     certificate_to_json,
     make_certificate,
-    verify_irregular,
-    verify_modular,
+    verify_profile,
 )
 from .solver import SolverConfig, StrengthResult, solve
 
@@ -129,7 +128,7 @@ def _cmd_label(args) -> int:
             print(f"no modular labeling: order {args.n + 2} = 2 (mod 4)", file=sys.stderr)
             return 1
     cert = make_certificate(g, labeling, mode)
-    check = verify_modular(g, labeling) if mode == MODULAR else verify_irregular(g, labeling)
+    check = verify_profile(cert.profile, mode)
     if not check.ok:  # construction bug, never expected
         print(f"internal error: construction failed verification: {check}", file=sys.stderr)
         return 1
@@ -143,11 +142,7 @@ def _cmd_verify(args) -> int:
     if cert.graph != g:
         print("certificate does not match the given graph", file=sys.stderr)
         return 1
-    verdict = (
-        verify_modular(g, cert.labeling)
-        if args.mode == MODULAR
-        else verify_irregular(g, cert.labeling)
-    )
+    verdict = verify_profile(cert.profile, args.mode)
     if verdict.ok:
         print("ok")
         return 0

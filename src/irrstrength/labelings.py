@@ -102,14 +102,10 @@ class Certificate:
         )
 
 
-def _check_alignment(g: Graph, f: EdgeLabeling) -> None:
-    if len(f) != g.size:
-        raise ValueError(f"labeling covers {len(f)} edges, graph has {g.size}")
-
-
 def vertex_weights(g: Graph, f: EdgeLabeling) -> WeightProfile:
     """Exact integer vertex weights and residues mod the order."""
-    _check_alignment(g, f)
+    if len(f) != g.size:
+        raise ValueError(f"labeling covers {len(f)} edges, graph has {g.size}")
     u = g.edges[:, 0]
     v = g.edges[:, 1]
     w = np.bincount(u, weights=f.labels, minlength=g.order)
@@ -131,30 +127,40 @@ def _first_collision(values: np.ndarray) -> tuple[int, int]:
     raise AssertionError("no collision present")
 
 
-def verify_irregular(g: Graph, f: EdgeLabeling) -> Verdict:
-    """Check that all vertex weights are pairwise distinct."""
-    profile = vertex_weights(g, f)
-    ordered = np.sort(profile.weights)
+def verify_profile(profile: WeightProfile, mode: str) -> Verdict:
+    """Judge a weight profile against the rule of ``mode``.
+
+    Irregular: the weights are pairwise distinct. Modular: the residues hit
+    every class mod the order exactly once, which for order-many residues in
+    [0, order) is the same as being pairwise distinct.
+    """
+    if mode == IRREGULAR:
+        values, kind = profile.weights, "duplicate-weight"
+    elif mode == MODULAR:
+        if profile.residues.size < 3:
+            raise ValueError("modular verification needs order >= 3")
+        values, kind = profile.residues, "residue-collision"
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    ordered = np.sort(values)
     if not (ordered[1:] == ordered[:-1]).any():
         return Verdict(ok=True)
-    return Verdict(ok=False, kind="duplicate-weight", pair=_first_collision(profile.weights))
+    return Verdict(ok=False, kind=kind, pair=_first_collision(values))
+
+
+def verify_irregular(g: Graph, f: EdgeLabeling) -> Verdict:
+    """Check that all vertex weights are pairwise distinct."""
+    return verify_profile(vertex_weights(g, f), IRREGULAR)
 
 
 def verify_modular(g: Graph, f: EdgeLabeling) -> Verdict:
     """Check that the residues form a bijection onto 0..order-1."""
-    if g.order < 3:
-        raise ValueError("modular verification needs order >= 3")
-    profile = vertex_weights(g, f)
-    counts = np.bincount(profile.residues, minlength=g.order)
-    if (counts == 1).all():
-        return Verdict(ok=True)
-    return Verdict(ok=False, kind="residue-collision", pair=_first_collision(profile.residues))
+    return verify_profile(vertex_weights(g, f), MODULAR)
 
 
 def make_certificate(g: Graph, f: EdgeLabeling, mode: str) -> Certificate:
     if mode not in (IRREGULAR, MODULAR):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_alignment(g, f)
     return Certificate(graph=g, labeling=f, profile=vertex_weights(g, f), mode=mode)
 
 

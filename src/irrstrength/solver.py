@@ -1,11 +1,11 @@
 """Exhaustive computation of exact strengths with certificates.
 
 Search runs iterative deepening on the max label k, starting from the
-counting lower bound. At each k a depth-first scan assigns edges in a
-search order fixed once per ``solve`` call: a greedy permutation that
-always takes next the edge closing the most vertices, so that vertices
-become final early. A vertex whose incident edges are all assigned is
-final, and its weight (residue, in modular mode) must differ from every
+counting lower bound. Each ``solve`` call builds one search plan and
+reuses it at every k: a greedy edge order that always takes next the edge
+closing the most vertices, so that vertices become final early, with the
+vertices each edge closes. A vertex whose incident edges are all assigned
+is final, and its weight (residue, in modular mode) must differ from every
 other final vertex, otherwise the branch is cut. The first full assignment
 in search-order DFS is mapped back to canonical edge order and returned,
 so the minimal feasible k yields a deterministic certificate.
@@ -33,8 +33,7 @@ from .labelings import (
     EdgeLabeling,
     certificate_to_json,
     make_certificate,
-    verify_irregular,
-    verify_modular,
+    verify_profile,
 )
 
 MODE_S = "s"
@@ -45,6 +44,7 @@ INFINITE = "infinite"
 UNKNOWN = "unknown"
 
 _COUNT_GUARD_BITS = 40.0
+_COUNT_BLOCK = 1 << 15  # assignments checked per numpy batch
 
 
 @dataclass
@@ -80,12 +80,14 @@ class StrengthResult:
         return json.dumps(doc, separators=(",", ":"))
 
 
-def _search_order(g: Graph) -> list[int]:
-    """Canonical edge indices in the order the search assigns them.
+def _search_plan(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    """One step per edge, in the order the search assigns them.
 
-    Each step takes the unassigned edge that closes the most vertices (is
-    the last unassigned edge at either endpoint); ties go to the smallest
-    sum of the endpoints' unassigned degrees, then to the lowest index.
+    A step is (canonical edge index, u, v, vertices this edge closes); a
+    vertex is closed by the step that assigns its last unassigned edge.
+    Each step takes the unassigned edge that closes the most vertices; ties
+    go to the smallest sum of the endpoints' unassigned degrees, then to
+    the lowest index.
     """
     ends = g.edge_tuples()
     remaining = [0] * g.order
@@ -99,90 +101,69 @@ def _search_order(g: Graph) -> list[int]:
         return -closes, remaining[u] + remaining[v], e
 
     unassigned = set(range(g.size))
-    order = []
+    plan = []
     while unassigned:
         e = min(unassigned, key=rank)
         unassigned.remove(e)
-        order.append(e)
         u, v = ends[e]
         remaining[u] -= 1
         remaining[v] -= 1
-    return order
+        plan.append((e, u, v, tuple(w for w in (u, v) if remaining[w] == 0)))
+    return plan
 
 
-class _Search:
-    """Depth-first search at a fixed k over one graph.
+def _search(plan, order: int, k: int, modulus: int, count_all: bool):
+    """Depth-first search over ``plan`` with labels in 1..k.
 
-    Position i of the search assigns canonical edge ``perm[i]``; labels are
-    kept in search order and mapped back by ``run``.
+    Returns (canonical labels of the first solution or None, solution
+    count, nodes). A closed vertex's weight, reduced mod ``modulus`` when it
+    is nonzero, must differ from every other closed vertex's.
     """
+    size = len(plan)
+    labels = [0] * size  # in plan order
+    weights = [0] * order
+    finals: set[int] = set()
+    best: list[int] | None = None
+    count = nodes = 0
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), size + 100))
 
-    def __init__(self, g: Graph, mode: str, k: int, perm: list[int]):
-        self.k = k
-        self.order = g.order
-        self.size = g.size
-        self.perm = perm
-        edges = g.edge_tuples()
-        self.ends = [edges[e] for e in perm]
-        # closing[i] = vertices whose last incident edge in search order is at i
-        last = {}
-        for i, (u, v) in enumerate(self.ends):
-            last[u] = i
-            last[v] = i
-        self.closing: list[list[int]] = [[] for _ in range(g.size)]
-        for v, i in last.items():
-            self.closing[i].append(v)
-        self.modulus = g.order if mode == MODE_MS else 0
-        self.nodes = 0
+    def descend(i: int) -> bool:
+        nonlocal best, count, nodes
+        if i == size:
+            count += 1
+            if best is None:
+                best = labels.copy()
+            return not count_all
+        _, u, v, closing = plan[i]
+        for lab in range(1, k + 1):
+            nodes += 1
+            labels[i] = lab
+            weights[u] += lab
+            weights[v] += lab
+            added = []
+            dead = False
+            for w in closing:
+                val = weights[w] % modulus if modulus else weights[w]
+                if val in finals:
+                    dead = True
+                    break
+                finals.add(val)
+                added.append(val)
+            if not dead and descend(i + 1):
+                return True
+            for val in added:
+                finals.remove(val)
+            weights[u] -= lab
+            weights[v] -= lab
+        return False
 
-    def run(self, count_all: bool = False):
-        """Returns (canonical labels of the first solution or None, solution count)."""
-        labels = [0] * self.size
-        weights = [0] * self.order
-        finals: set[int] = set()
-        best: list[int] | None = None
-        count = 0
-        mod = self.modulus
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), self.size + 100))
-
-        def descend(e: int) -> bool:
-            nonlocal best, count
-            if e == self.size:
-                count += 1
-                if best is None:
-                    best = labels.copy()
-                return not count_all
-            u, v = self.ends[e]
-            closing = self.closing[e]
-            for lab in range(1, self.k + 1):
-                self.nodes += 1
-                labels[e] = lab
-                weights[u] += lab
-                weights[v] += lab
-                added = []
-                dead = False
-                for w in closing:
-                    val = weights[w] % mod if mod else weights[w]
-                    if val in finals:
-                        dead = True
-                        break
-                    finals.add(val)
-                    added.append(val)
-                if not dead and descend(e + 1):
-                    return True
-                for val in added:
-                    finals.remove(val)
-                weights[u] -= lab
-                weights[v] -= lab
-            return False
-
-        descend(0)
-        if best is None:
-            return None, count
-        canonical = [0] * self.size
-        for i, e in enumerate(self.perm):
-            canonical[e] = best[i]
-        return canonical, count
+    descend(0)
+    if best is None:
+        return None, count, nodes
+    canonical = [0] * size
+    for step, lab in zip(plan, best):
+        canonical[step[0]] = lab
+    return canonical, count, nodes
 
 
 def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResult:
@@ -214,19 +195,15 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     if k_max < lb:
         raise ValueError(f"k_max={k_max} is below the lower bound {lb}")
 
-    perm = _search_order(g)
+    plan = _search_plan(g)
+    modulus = g.order if mode == MODE_MS else 0
     nodes = 0
     for k in range(lb, k_max + 1):
-        search = _Search(g, mode, k, perm)
-        best, count = search.run(count_all=cfg.count_solutions)
-        nodes += search.nodes
+        best, count, searched = _search(plan, g.order, k, modulus, cfg.count_solutions)
+        nodes += searched
         if best is not None:
-            labeling = EdgeLabeling(best)
-            cert_mode = MODULAR if mode == MODE_MS else IRREGULAR
-            cert = make_certificate(g, labeling, cert_mode)
-            verdict = (
-                verify_modular(g, labeling) if mode == MODE_MS else verify_irregular(g, labeling)
-            )
+            cert = make_certificate(g, EdgeLabeling(best), MODULAR if mode == MODE_MS else IRREGULAR)
+            verdict = verify_profile(cert.profile, cert.mode)
             if not verdict.ok:  # search invariant, not an input error
                 raise AssertionError(f"solver produced an invalid certificate: {verdict}")
             return StrengthResult(
@@ -247,7 +224,7 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     )
 
 
-def count_labelings(g: Graph, mode: str, k: int, block: int = 1 << 15) -> int:
+def count_labelings(g: Graph, mode: str, k: int) -> int:
     """Number of valid labelings with labels in 1..k, by full enumeration.
 
     Every one of the k**size assignments is generated and checked; there
@@ -273,7 +250,7 @@ def count_labelings(g: Graph, mode: str, k: int, block: int = 1 << 15) -> int:
     total = 0
     assignments = product(range(1, k + 1), repeat=g.size)
     while True:
-        chunk = list(islice(assignments, block))
+        chunk = list(islice(assignments, _COUNT_BLOCK))
         if not chunk:
             break
         labels = np.asarray(chunk, dtype=np.int64)

@@ -5,7 +5,6 @@ import pytest
 from irrstrength import (
     Graph,
     bound_report,
-    lower_bound_ms,
     lower_bound_s,
     make_family,
     make_triangular_book,
@@ -79,13 +78,13 @@ class TestModularInfinite:
 
 class TestLowerBoundMs:
     def test_book_four_infinite(self):
-        assert lower_bound_ms(make_triangular_book(4)) == math.inf
+        assert bound_report(make_triangular_book(4)).ms_lower == math.inf
 
     def test_book_five(self):
-        assert lower_bound_ms(make_triangular_book(5)) == 3
+        assert bound_report(make_triangular_book(5)).ms_lower == 3
 
     def test_book_seven(self):
-        assert lower_bound_ms(make_triangular_book(7)) == 4
+        assert bound_report(make_triangular_book(7)).ms_lower == 4
 
 
 class TestBoundReport:

@@ -1,9 +1,26 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from irrstrength import EdgeLabeling, certificate_to_json, make_certificate, make_family
+from irrstrength import (
+    EdgeLabeling,
+    certificate_to_json,
+    format_edge_list,
+    make_certificate,
+    make_family,
+    make_triangular_book,
+    modular_labeling,
+)
 from irrstrength.cli import run
+
+B3 = make_triangular_book(3)
+B3_EDGES = format_edge_list(B3)
+B3_CERT = certificate_to_json(make_certificate(B3, modular_labeling(3), "modular"))
+INT_FIELDS = ("order", "k", "edges", "labels", "weights", "residues")
+# JSON texts, so that each draw is a fresh object the mutation may edit further
+JUNK = st.sampled_from(["null", "true", "false", "0.5", "3.0", '"3"', "[[1, 2]]", str(2**70)]).map(json.loads)
 
 
 def invoke(capsys, *argv):
@@ -303,3 +320,72 @@ class TestUsageErrors:
     def test_no_verb(self, capsys):
         code, _, _ = invoke(capsys)
         assert code == 2
+
+
+def _json_integers(value) -> bool:
+    if isinstance(value, list):
+        return all(map(_json_integers, value))
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@st.composite
+def mutated_certificates(draw):
+    """The B_3 certificate with one to three fields or elements replaced by junk or deleted."""
+    doc = json.loads(B3_CERT)
+    for _ in range(draw(st.integers(1, 3))):
+        if not doc:
+            break
+        parent, key = doc, draw(st.sampled_from(sorted(doc)))
+        while isinstance(parent[key], list) and parent[key] and draw(st.booleans()):
+            parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JUNK)
+    return doc
+
+
+@st.composite
+def mutated_edge_lists(draw):
+    """The B_3 edge list with one to four characters inserted, deleted or replaced."""
+    text = list(B3_EDGES)
+    chars = st.one_of(st.sampled_from("0123456789 \n\t-+_."), st.characters(codec="utf-8"))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            text.insert(draw(st.integers(0, len(text))), draw(chars))
+        elif text:
+            i = draw(st.integers(0, len(text) - 1))
+            if op == "delete":
+                del text[i]
+            else:
+                text[i] = draw(chars)
+    return "".join(text)
+
+
+class TestFuzzedInputs:
+    """Malformed input ends in a clean exit code, never in a traceback."""
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_certificates(), st.sampled_from(["irregular", "modular"]))
+    def test_mutated_certificate(self, capsys, tmp_path, doc, mode):
+        graph_file = tmp_path / "g.txt"
+        cert_file = tmp_path / "c.json"
+        graph_file.write_text(B3_EDGES)
+        cert_file.write_text(json.dumps(doc))
+        code, _, _ = invoke(
+            capsys, "verify", "--graph", str(graph_file), "--cert", str(cert_file), "--mode", mode
+        )
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert all(field in doc and _json_integers(doc[field]) for field in INT_FIELDS)
+        code, _, _ = invoke(capsys, "export", "--cert", str(cert_file), "--format", "dot")
+        assert code in (0, 1, 2, 3)
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_edge_lists())
+    def test_mutated_edge_list(self, capsys, tmp_path, text):
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text(text, encoding="utf-8")
+        code, _, _ = invoke(capsys, "bound", "--graph", str(graph_file))
+        assert code in (0, 1, 2, 3)

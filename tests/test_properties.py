@@ -4,7 +4,7 @@ import math
 from itertools import combinations, product
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irrstrength import (
@@ -18,6 +18,7 @@ from irrstrength import (
     make_triangular_book,
     verify_irregular,
     verify_modular,
+    verify_profile,
     vertex_weights,
 )
 from irrstrength.books import (
@@ -130,6 +131,26 @@ class TestVerifierProperties:
         g, f = inst
         assert verify_irregular(g, f) == verify_irregular(g, f)
         assert verify_modular(g, f) == verify_modular(g, f)
+
+    @given(labeled_instances(max_label=4))
+    @example((make_triangular_book(5), modular_labeling(5)))  # both rules hold
+    @example((make_triangular_book(4), irregular_labeling(4)))  # irregular only
+    def test_verdicts_match_distinctness_oracle(self, inst):
+        # the two rules restated over pure-python weights
+        g, f = inst
+        w = [0] * g.order
+        for (u, v), lab in zip(g.edge_tuples(), f.labels.tolist()):
+            w[u] += lab
+            w[v] += lab
+        assert verify_irregular(g, f).ok == (len(set(w)) == g.order)
+        assert verify_modular(g, f).ok == (sorted(x % g.order for x in w) == list(range(g.order)))
+
+    @given(labeled_instances(max_label=4), st.sampled_from(["irregular", "modular"]))
+    @example((make_triangular_book(5), modular_labeling(5)), "modular")
+    def test_profile_verdict_matches_graph_verdict(self, inst, mode):
+        g, f = inst
+        verify = {"irregular": verify_irregular, "modular": verify_modular}[mode]
+        assert verify_profile(make_certificate(g, f, mode).profile, mode) == verify(g, f)
 
     @given(sparse_instances())
     def test_consecutive_weights_upgrade_to_modular(self, inst):

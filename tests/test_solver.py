@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from irrstrength import (
     Graph,
     SolverConfig,
+    bound_report,
     certificate_to_json,
     count_labelings,
     lower_bound_s,
@@ -15,7 +17,7 @@ from irrstrength import (
     verify_modular,
 )
 from irrstrength.books import irregular_strength, modular_strength
-from irrstrength.solver import _search_order
+from irrstrength.solver import _search_plan
 
 from conftest import random_solid_graph
 
@@ -64,13 +66,11 @@ class TestSolveBooks:
             assert verify_irregular(r.certificate.graph, r.certificate.labeling).ok
 
     def test_ms_lower_bound_sound_on_solved_books(self):
-        from irrstrength import lower_bound_ms
-
         for n in (1, 2, 3, 5, 6, 7):
             g = make_triangular_book(n)
             result = solve(g, "ms")
             assert result.outcome == "finite"
-            assert lower_bound_ms(g) <= result.k
+            assert bound_report(g).ms_lower <= result.k
 
 
 class TestSolveEdgeCases:
@@ -175,7 +175,10 @@ class TestSearchOrder:
         graphs = [C3, make_family("star", 4), make_triangular_book(1), make_triangular_book(7)]
         graphs += [random_solid_graph(rng, 3, 9) for _ in range(10)]
         for g in graphs:
-            assert sorted(_search_order(g)) == list(range(g.size))
+            plan = _search_plan(g)
+            assert sorted(e for e, _, _, _ in plan) == list(range(g.size))
+            closed = [w for _, _, _, closing in plan for w in closing]
+            assert sorted(closed) == np.flatnonzero(g.degrees()).tolist()
 
     def test_minimal_k_agrees_with_enumeration(self):
         rng = random.Random(2024)
