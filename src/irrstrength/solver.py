@@ -10,17 +10,21 @@ other final vertex, otherwise the branch is cut. The first full assignment
 in search-order DFS is mapped back to canonical edge order and returned,
 so the minimal feasible k yields a deterministic certificate.
 ``count_labelings`` is an independent full-enumeration oracle with no
-pruning at all; it exists to cross-check the search, not to be fast.
+pruning, no search order and no theory; it exists to cross-check the
+search. It checks every one of the k**size assignments in numpy batches:
+the weight rows of all labelings of the first few edges form one block,
+built once per call, and each labeling of the other edges is added to the
+whole block by broadcasting. A budget of ``_COUNT_BUDGET`` assignments
+(a few seconds) bounds every call.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
-from itertools import islice, product
 
 import numpy as np
 
@@ -43,7 +47,7 @@ FINITE = "finite"
 INFINITE = "infinite"
 UNKNOWN = "unknown"
 
-_COUNT_GUARD_BITS = 40.0
+_COUNT_BUDGET = 2**24  # assignments one count_labelings call may check
 _COUNT_BLOCK = 1 << 15  # assignments checked per numpy batch
 
 
@@ -229,32 +233,56 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
 
     Every one of the k**size assignments is generated and checked; there
     is no pruning, which is the point: this is the independent oracle the
-    searching solver is compared against. Guarded to desk scale.
+    searching solver is compared against. The first b edges, b the most
+    with k**b <= ``_COUNT_BLOCK``, give a block of k**b weight rows, built
+    once. The labelings of the other edges come in chunks of about
+    ``_COUNT_BLOCK / k**b``; each adds its own weight row to the whole
+    block, so a batch has at most about ``_COUNT_BLOCK`` rows for any k.
+    A row is valid when its weights are pairwise distinct (``s``) or its
+    residues mod the order are (``ms``).
+
+    ``k`` must be an integer (numpy integers too, ``bool`` not) and at
+    least 1. A call over more than ``_COUNT_BUDGET`` assignments raises
+    ``ValueError`` instead of running.
     """
     if mode not in (MODE_S, MODE_MS):
         raise ValueError(f"mode must be '{MODE_S}' or '{MODE_MS}', got {mode!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    try:
+        k_value = operator.index(k)
+    except TypeError:
+        k_value = 0
+    if isinstance(k, bool) or k_value < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    k = k_value
     if g.size == 0:
         raise ValueError("graph has no edges")
-    if g.size * math.log2(k) > _COUNT_GUARD_BITS:
+    if k ** g.size > _COUNT_BUDGET:
         raise ValueError(
-            f"instance too large to enumerate: size*log2(k) = {g.size * math.log2(k):.1f} > {_COUNT_GUARD_BITS}"
+            f"instance too large to enumerate: {k}**{g.size} assignments exceed the budget of {_COUNT_BUDGET}"
         )
-    incidence = np.zeros((g.size, g.order), dtype=np.int64)
+    # a weight is at most size * k: int32 holds it, as the budget keeps it
+    # below 2**24 for k >= 2
+    incidence = np.zeros((g.size, g.order), dtype=np.int32)
     rows = np.arange(g.size)
     incidence[rows, g.edges[:, 0]] = 1
     incidence[rows, g.edges[:, 1]] = 1
 
+    b = 0
+    while b < g.size and k ** (b + 1) <= _COUNT_BLOCK:
+        b += 1
+    block = np.zeros((1, g.order), dtype=np.int32)
+    labels = np.arange(1, min(k, _COUNT_BLOCK) + 1, dtype=np.int32)  # all of 1..k when b > 0
+    for row in incidence[:b]:
+        block = (labels[:, None, None] * row + block).reshape(-1, g.order)
+    rest = k ** (g.size - b)
+    place = k ** np.arange(g.size - b, dtype=np.int32)
+    chunk = max(1, _COUNT_BLOCK // len(block))
     expected = np.arange(g.order)
     total = 0
-    assignments = product(range(1, k + 1), repeat=g.size)
-    while True:
-        chunk = list(islice(assignments, _COUNT_BLOCK))
-        if not chunk:
-            break
-        labels = np.asarray(chunk, dtype=np.int64)
-        weights = labels @ incidence
+    for start in range(0, rest, chunk):
+        index = np.arange(start, min(start + chunk, rest), dtype=np.int32)
+        extra = (index[:, None] // place % k + 1) @ incidence[b:]
+        weights = (extra[:, None] + block).reshape(-1, g.order)
         if mode == MODE_MS:
             candidates = np.sort(weights % g.order, axis=1)
             total += int((candidates == expected).all(axis=1).sum())

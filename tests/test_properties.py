@@ -232,6 +232,23 @@ class TestSolverProperties:
     def test_count_monotone_in_k(self, g, k, mode):
         assert count_labelings(g, mode, k) <= count_labelings(g, mode, k + 1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(3, 6), st.integers(1, 3), st.sampled_from(["s", "ms"]))
+    def test_count_matches_brute_force(self, g, k, mode):
+        # the batched oracle against a plain loop over itertools.product
+        assume(k**g.size <= 3**8)
+        expected = 0
+        for labels in product(range(1, k + 1), repeat=g.size):
+            weights = [0] * g.order
+            for (u, v), lab in zip(g.edge_tuples(), labels):
+                weights[u] += lab
+                weights[v] += lab
+            if mode == "s":
+                expected += len(set(weights)) == g.order
+            else:
+                expected += sorted(w % g.order for w in weights) == list(range(g.order))
+        assert count_labelings(g, mode, k) == expected
+
     @settings(max_examples=20, deadline=None)
     @given(graphs(3, 6))
     def test_bound_never_exceeds_exact_strength(self, g):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from irrstrength import (
     verify_irregular,
     verify_modular,
 )
+from irrstrength import solver
 from irrstrength.books import irregular_strength, modular_strength
 from irrstrength.solver import _search_plan
 
@@ -131,13 +133,49 @@ class TestCountLabelings:
         with pytest.raises(ValueError, match="too large"):
             count_labelings(make_triangular_book(5), "ms", 16)  # 11 * 4 = 44 bits
 
+    def test_budget_rejects_book_twelve(self):
+        g = make_triangular_book(12)
+        assert 2**g.size == 2**25
+        with pytest.raises(ValueError, match="too large"):
+            count_labelings(g, "s", 2)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             count_labelings(C3, "s", 0)
         with pytest.raises(ValueError):
+            count_labelings(C3, "s", True)
+        with pytest.raises(ValueError):
+            count_labelings(C3, "s", 2.5)
+        with pytest.raises(ValueError):
             count_labelings(C3, "irregular", 2)
         with pytest.raises(ValueError):
             count_labelings(Graph(3, []), "s", 2)
+
+    def test_accepts_numpy_integers(self):
+        assert count_labelings(C3, "s", np.int64(3)) == 6
+
+    def test_many_batches_with_a_partial_last(self):
+        # 200**2 = 40,000 assignments: more than one block of 2**15
+        assert count_labelings(make_family("path", 3), "s", 200) == 200 * 199
+
+    def test_more_labels_than_one_block(self, monkeypatch):
+        k2 = Graph(2, [(0, 1)])
+        for mode in ("s", "ms"):
+            assert count_labelings(k2, mode, 40_000) == 0
+        # with a small block, the call must stay far below one array of k labels
+        monkeypatch.setattr(solver, "_COUNT_BLOCK", 256)
+        tracemalloc.start()
+        try:
+            assert count_labelings(k2, "s", 40_000) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000 * np.dtype(np.int32).itemsize
+
+    def test_single_label_counts_nothing(self):
+        for g in (C3, make_triangular_book(2), make_family("star", 3)):
+            for mode in ("s", "ms"):
+                assert count_labelings(g, mode, 1) == 0
 
     def test_agrees_with_pruned_search_counts(self):
         # enumeration oracle vs the solver's counting DFS, both modes
