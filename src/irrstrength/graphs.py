@@ -73,7 +73,7 @@ class Graph:
         return self._degrees
 
     def edge_tuples(self) -> list[tuple[int, int]]:
-        return [(int(u), int(v)) for u, v in self._edges]
+        return list(zip(*self._edges.T.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -143,42 +143,83 @@ def make_family(kind: str, size: int) -> Graph:
 
 def format_edge_list(g: Graph) -> str:
     """Edge-list text: first line ``order m``, then one ``u v`` line per edge."""
-    lines = [f"{g.order} {g.size}"]
-    lines.extend(f"{u} {v}" for u, v in g.edge_tuples())
-    return "\n".join(lines) + "\n"
+    return f"{g.order} {g.size}\n" + "%d %d\n" * g.size % tuple(g.edges.ravel().tolist())
+
+
+# ASCII bytes that str.split() treats as whitespace and str.splitlines() as breaks
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_BREAK = np.zeros(256, dtype=bool)
+_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
+_EXACT_DIGITS = 18  # longer tokens might pass int64 and are read by int() instead
 
 
 def parse_edge_list(text: str) -> Graph:
-    # int() would also take a sign, "1_0" and non-ASCII digits such as "١"
-    if not text.isascii() or any(c in text for c in "+-_"):
-        raise FormatError("edge-list numbers must be unsigned ASCII decimals")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError("first line must be 'order m'")
-    try:
-        order, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"bad header {lines[0]!r}") from exc
-    if order > ORDER_LIMIT:
-        raise FormatError(f"order {order} exceeds supported limit {ORDER_LIMIT}")
-    if len(lines) - 1 != m:
-        raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"bad edge line {ln!r}") from exc
-        if not u < v:
-            raise FormatError(f"edge line {ln!r} must satisfy u < v")
-        edges.append((u, v))
+    """``order m``, then exactly m non-blank ``u v`` lines; see the README for the grammar."""
+    # the tokeniser's temporaries are freed before Graph allocates, which keeps peak memory down
+    order, edges = _edge_list_values(text)
     try:
         return Graph(order, edges)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _edge_list_values(text: str) -> tuple[int, np.ndarray]:
+    """The order and the (m, 2) endpoints, read as whole arrays; a suspect line is re-read alone."""
+    # int() would also take a sign, "1_0" and non-ASCII digits such as "١"
+    if not text.isascii() or any(c in text for c in "+-_"):
+        raise FormatError("edge-list numbers must be unsigned ASCII decimals")
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space, brk = _SPACE[raw], _BREAK[raw]
+    # token i is raw[starts[i]:ends[i]]
+    starts, ends = np.flatnonzero(np.diff(space, prepend=True, append=True)).reshape(-1, 2).T
+    if not starts.size:
+        raise FormatError("empty edge-list input")
+    breaks = np.flatnonzero(np.concatenate(([True], brk, [True]))) - 1  # from -1 to len(text)
+
+    def line_at(pos) -> str:
+        k = np.searchsorted(breaks, pos)
+        return text[breaks[k - 1] + 1 : breaks[k]]
+
+    head = line_at(starts[0])
+    parts = head.split()
+    if len(parts) != 2:
+        raise FormatError("first line must be 'order m'")
+    try:
+        order, m = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise FormatError(f"bad header {head!r}") from exc
+    if order > ORDER_LIMIT:
+        raise FormatError(f"order {order} exceeds supported limit {ORDER_LIMIT}")
+    # a line starts at each token with a break between it and the token before
+    first = np.flatnonzero(np.logical_or.reduceat(brk[: ends[-1]], ends[:-1])) + 1
+    if first.size != m:
+        raise FormatError(f"expected {m} edge lines, found {first.size}")
+    # place value over each token's last _EXACT_DIGITS digits
+    length = ends - starts
+    digit = raw - 48
+    value = np.zeros(starts.size, dtype=np.int64)
+    for j in range(min(int(length.max()), _EXACT_DIGITS)):
+        d = digit[ends - 1 - j]  # past a token's start (or wrapped below 0) once it is used up
+        d[length <= j] = 0
+        value += d * np.int64(10**j)
+    second = np.minimum(first + 1, starts.size - 1)
+    bad = (np.diff(first, append=starts.size) != 2) | (value[first] >= value[second])
+    # a line with a stray byte (neither digit nor whitespace) or a long token goes to int()
+    stray = np.flatnonzero((digit > 9) & ~space)
+    odd = np.union1d(np.flatnonzero(length > _EXACT_DIGITS), np.searchsorted(starts, stray, side="right") - 1)
+    bad[np.searchsorted(first, odd[odd >= 2], side="right") - 1] = True
+    for i in np.flatnonzero(bad).tolist():
+        line = line_at(starts[first[i]])
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"bad edge line {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"bad edge line {line!r}") from exc
+        if not u < v:
+            raise FormatError(f"edge line {line!r} must satisfy u < v")
+        # any value from order up is out of range alike, and clamped it fits int64
+        value[first[i]], value[first[i] + 1] = min(u, order), min(v, order)
+    return order, value[2:].reshape(-1, 2)

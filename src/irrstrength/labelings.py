@@ -164,18 +164,21 @@ def make_certificate(g: Graph, f: EdgeLabeling, mode: str) -> Certificate:
     return Certificate(graph=g, labeling=f, profile=vertex_weights(g, f), mode=mode)
 
 
-def certificate_to_json(cert: Certificate) -> str:
-    """Single-line JSON with fixed key order, suitable for golden files."""
-    doc = {
+def _certificate_doc(cert: Certificate) -> dict:
+    return {
         "order": cert.graph.order,
-        "edges": [[int(u), int(v)] for u, v in cert.graph.edges],
+        "edges": cert.graph.edges.tolist(),
         "labels": cert.labeling.labels.tolist(),
         "weights": cert.profile.weights.tolist(),
         "residues": cert.profile.residues.tolist(),
         "k": cert.labeling.k,
         "mode": cert.mode,
     }
-    return json.dumps(doc, separators=(",", ":"))
+
+
+def certificate_to_json(cert: Certificate) -> str:
+    """Single-line JSON with fixed key order, suitable for golden files."""
+    return json.dumps(_certificate_doc(cert), separators=(",", ":"))
 
 
 def _holds_bool(value) -> bool:
@@ -248,10 +251,8 @@ def certificate_from_json(text: str) -> Certificate:
 
 def certificate_to_dot(cert: Certificate) -> str:
     """DOT rendering: weights as vertex labels, edge labels as attributes."""
-    lines = ["graph G {"]
-    for v in range(cert.graph.order):
-        lines.append(f'  {v} [label="{int(cert.profile.weights[v])}"];')
-    for e, (u, v) in enumerate(cert.graph.edge_tuples()):
-        lines.append(f'  {u} -- {v} [label="{int(cert.labeling.labels[e])}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    g = cert.graph
+    vertices = np.column_stack((np.arange(g.order), cert.profile.weights)).ravel().tolist()
+    edges = np.column_stack((g.edges, cert.labeling.labels)).ravel().tolist()
+    head = "graph G {\n" + '  %d [label="%d"];\n' * g.order % tuple(vertices)
+    return head + '  %d -- %d [label="%d"];\n' * g.size % tuple(edges) + "}\n"

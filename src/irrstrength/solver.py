@@ -35,7 +35,7 @@ from .labelings import (
     MODULAR,
     Certificate,
     EdgeLabeling,
-    certificate_to_json,
+    _certificate_doc,
     make_certificate,
     verify_profile,
 )
@@ -76,7 +76,7 @@ class StrengthResult:
         doc: dict = {"mode": self.mode, "outcome": self.outcome}
         if self.outcome == FINITE:
             doc["k"] = self.k
-            doc["certificate"] = json.loads(certificate_to_json(self.certificate))
+            doc["certificate"] = _certificate_doc(self.certificate)
         elif self.outcome == UNKNOWN:
             doc["kMax"] = self.k_max
         if self.solution_count is not None:

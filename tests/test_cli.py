@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import irrstrength
 from irrstrength import (
     EdgeLabeling,
     certificate_to_json,
@@ -221,8 +226,9 @@ class TestBoundVerb:
     @pytest.mark.parametrize(
         "text",
         ["3 1\n0 \u0661\n", "3 1\n0 +1\n", "3 1\n-0 1\n", "1_0 1\n0 1\n",
-         "3 1\n0 1" + "0" * 5000 + "\n"],
-        ids=["arabic-indic-digit", "plus-sign", "minus-zero", "underscore", "past-digit-limit"],
+         "3 1\n0 1" + "0" * 5000 + "\n", "3 1\n0 100000000000000000000\n"],
+        ids=["arabic-indic-digit", "plus-sign", "minus-zero", "underscore", "past-digit-limit",
+             "endpoint-past-int64"],
     )
     def test_non_decimal_token_is_format_error(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.txt"
@@ -308,6 +314,17 @@ class TestExportVerb:
         assert code == 2
 
 
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(irrstrength.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "irrstrength", "book", "--n", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "4 5\n0 1\n0 2\n0 3\n1 2\n1 3\n")
+
+
 class TestUsageErrors:
     def test_unknown_verb(self, capsys):
         code, _, _ = invoke(capsys, "frobnicate")
@@ -349,7 +366,7 @@ def mutated_certificates(draw):
 def mutated_edge_lists(draw):
     """The B_3 edge list with one to four characters inserted, deleted or replaced."""
     text = list(B3_EDGES)
-    chars = st.one_of(st.sampled_from("0123456789 \n\t-+_."), st.characters(codec="utf-8"))
+    chars = st.one_of(st.sampled_from([*"0123456789 \n\t-+_.", "9" * 20]), st.characters(codec="utf-8"))
     for _ in range(draw(st.integers(1, 4))):
         op = draw(st.sampled_from(["insert", "delete", "replace"]))
         if op == "insert":

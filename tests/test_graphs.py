@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrstrength import (
     FormatError,
@@ -149,6 +151,17 @@ class TestEdgeListFormat:
         with pytest.raises(FormatError):
             parse_edge_list("")
 
+    def test_long_token_with_leading_zeros(self):
+        assert parse_edge_list("3 1\n" + "0" * 30 + "1 2\n") == Graph(3, [(1, 2)])
+
+    def test_endpoint_past_int64_is_format_error(self):
+        with pytest.raises(FormatError, match="out of range"):
+            parse_edge_list("3 1\n0 100000000000000000000\n")
+
+    def test_any_ascii_whitespace_separates(self):
+        text = "\x1f3\t2\r\n\x1c0\t\x1f1\x0c\x1d\n 1\x1f2\x1e"
+        assert parse_edge_list(text) == make_family("path", 3)
+
     def test_trusted_book_path_matches_validated_constructor(self):
         # make_triangular_book skips validation; cross-check against Graph()
         for n in (1, 2, 5, 12):
@@ -156,3 +169,103 @@ class TestEdgeListFormat:
             slow = Graph(fast.order, fast.edges.copy())
             assert fast == slow
             assert np.array_equal(fast.degrees(), slow.degrees())
+
+
+def reference_parse(text: str) -> Graph:
+    """Line-by-line edge-list parser with the same grammar, as an oracle.
+
+    An endpoint past int64 escapes from ``Graph`` as OverflowError here;
+    ``parse_edge_list`` reports it as a FormatError.
+    """
+    if not text.isascii() or any(c in text for c in "+-_"):
+        raise FormatError("edge-list numbers must be unsigned ASCII decimals")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FormatError("empty edge-list input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise FormatError("first line must be 'order m'")
+    try:
+        order, m = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise FormatError(f"bad header {lines[0]!r}") from exc
+    if order > 10**6:
+        raise FormatError(f"order {order} exceeds supported limit {10**6}")
+    if len(lines) - 1 != m:
+        raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
+    edges = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise FormatError(f"bad edge line {ln!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"bad edge line {ln!r}") from exc
+        if not u < v:
+            raise FormatError(f"edge line {ln!r} must satisfy u < v")
+        edges.append((u, v))
+    try:
+        return Graph(order, edges)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+INLINE = [" ", " ", "\t", "\x1f", " \t", "\t\x1f "]
+# these also break lines, so as separators they split a line in two
+SPLITTING = ["\v", "\f", "\r", "\x1c", "\x1d", "\x1e"]
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\n\n", "\n \x1f\n"])
+STRAY = st.sampled_from(["a", "1x", "x1", "1.0", "0x1", "9" * 20, "1" + "0" * 19, "0" * 25 + "7", "O"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists near the grammar: padded numbers, any ASCII whitespace, stray tokens."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 9), st.sampled_from([1, 1, 2, 3, 0])), max_size=8))
+    pairs = [(u, u + d) if draw(st.sampled_from([True] * 9 + [False])) else (u + d, u) for u, d in pairs]
+    order = max((v for pair in pairs for v in pair), default=0) + draw(st.sampled_from([1, 1, 1, 0, 2]))
+    rows = [[order, len(pairs) + draw(st.sampled_from([0, 0, 0, 1, -1]))], *map(list, pairs)]
+    separators = st.sampled_from(draw(st.sampled_from([INLINE, INLINE, INLINE, INLINE + SPLITTING])))
+    lines = []
+    for row in rows:
+        line = [draw(st.sampled_from(["", "", "0", "000", "0" * 20])) + str(x) for x in row]
+        if draw(st.sampled_from([False] * 19 + [True])):  # a stray token, inserted or in place of one
+            i = draw(st.integers(0, len(line)))
+            line[i : i + draw(st.integers(0, 1))] = [draw(STRAY)]
+        lines.append(line)
+    text = draw(st.sampled_from(["", " ", "\n", "\r\n\x1f"]))
+    for line in lines:
+        text += draw(separators).join(line) + draw(BREAKS)
+    return text if draw(st.booleans()) else text.rstrip()
+
+
+FREE_TEXT = st.text(st.sampled_from(list("0123456789 \t\n\r\v\f\x1c\x1d\x1e\x1fa+")), max_size=30)
+
+
+class TestParserAgainstReference:
+    """``parse_edge_list`` accepts, rejects and reports exactly as the per-line reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    def test_near_grammar(self, text):
+        self.check(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(FREE_TEXT)
+    def test_free_text(self, text):
+        self.check(text)
+
+    @staticmethod
+    def check(text):
+        try:
+            want = reference_parse(text)
+        except OverflowError:
+            with pytest.raises(FormatError):
+                parse_edge_list(text)
+            return
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                parse_edge_list(text)
+            assert str(got.value) == str(exc)
+            return
+        assert parse_edge_list(text) == want
