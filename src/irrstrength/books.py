@@ -1,18 +1,34 @@
 """Closed-form labelings and strength values for triangular book graphs.
 
 Label vectors follow the canonical edge order of ``make_triangular_book``:
-the common edge ab first, then ac_1..ac_n, then bc_1..bc_n. ``_case`` is
-the single dispatch on the page count: for each theorem it maps n to the
-strength, the label builder and the center weights, and every public
-function here reads one field of that record. Every division in the
-formulas below is exact within its residue class; ``_exact_div`` guards
-each one so a dispatch bug fails loudly instead of corrupting a labeling.
+ab first, then ac_1..ac_n, then bc_1..bc_n. Each construction of Theorem 1
+(irregular) or 2 (modular) is one row of integer coefficients. ``_case``,
+the single dispatch on the page count, picks the row of n in ``_SMALL``,
+else the row of n mod 8 in ``_BY_RESIDUE`` (None: no labeling exists), and
+one evaluator, ``_labels``, reads every row.
+
+A row is (strength, ab, weights, pieces). The strength, the label ab and
+the center weights (w(a), w(b)), or the whole profile for the triangle,
+are forms in n. A piece (first, step, last, ac, bc) puts the labels ac on
+edge ac_i and bc on bc_i for i = first, first + step, ..., last; its
+endpoints are forms in n, its labels forms in i and n, and the pieces of
+a row tile the pages 1..n. A form (d, ci, c0, c1, c2) stands for
+(ci*i + c0 + c1*n + c2*n**2) / d, trailing zeros left out.
+
+Every division must be exact, and ``_exact_div`` guards each one, so a
+wrong coefficient fails loudly instead of corrupting a labeling. Along a
+piece the label on its j-th page is v0 + j*delta, so it is exact on every
+page iff the numerator at the first page and ci*step are divisible by d:
+one check per piece. ``tests/test_book_proof.py`` proves from the rows
+that they give the stated labelings for every n >= 8.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -20,74 +36,103 @@ import numpy as np
 from .labelings import EdgeLabeling, WeightProfile
 
 
-def _require_pages(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"page count must be >= 1, got {n}")
+def _require_pages(n) -> int:
+    try:
+        pages = operator.index(n)
+    except TypeError:
+        pages = 0
+    if isinstance(n, bool) or pages < 1:
+        raise ValueError(f"page count must be an integer >= 1, got {n!r}")
+    return pages
 
 
-def _exact_div(value, divisor: int):
-    if np.count_nonzero(value % divisor):
+def _exact_div(value: int, divisor: int) -> int:
+    if value % divisor:
         raise ArithmeticError(f"inexact division by {divisor} (residue-class dispatch bug)")
     return value // divisor
 
 
+def _value(form: tuple[int, ...], n: int, i: int = 0) -> int:
+    d, ci, c0, c1, c2 = form + (0,) * (5 - len(form))
+    return _exact_div(ci * i + c0 + (c1 + c2 * n) * n, d)
+
+
 @dataclass(frozen=True)
 class _Case:
-    """One construction: strength, labels on demand, and center weights.
-
-    ``labels`` builds the full label vector when called; ``weights`` is
-    (w(a), w(b)), or the whole profile for the single triangle. Both are
-    None when no labeling exists.
-    """
+    """One construction: strength, a label builder and the row's weights (both None without a labeling)."""
 
     strength: int | float
-    labels: Callable[[], object] | None
+    labels: Callable[[], np.ndarray] | None
     weights: tuple[int, ...] | None
 
 
-# single triangle: weights 3, 4, 5 land on c_1, a, b
-_TRIANGLE = _Case(3, lambda: (3, 1, 2), (4, 5, 3))
+# Theorem 1, n >= 2: odd pages get (i+1)/2 twice, even pages i/2 and i/2 + 1
+_T1_EVEN = ((2, 0, 2, 1), (1, 0, 1), ((4, 0, 4, 2, 1), (4, 0, 4, 4, 1)), (
+    ((1, 0, 1), 2, (1, 0, -1, 1), (2, 1, 1), (2, 1, 1)),
+    ((1, 0, 2), 2, (1, 0, 0, 1), (2, 1), (2, 1, 2))))
+_T1_ODD = ((2, 0, 1, 1), (1, 0, 1), ((4, 0, 5, 2, 1), (4, 0, 3, 4, 1)), (
+    ((1, 0, 1), 2, (1, 0, 0, 1), (2, 1, 1), (2, 1, 1)),
+    ((1, 0, 2), 2, (1, 0, -1, 1), (2, 1), (2, 1, 2))))
+# Theorem 2, n = 2 or 3 mod 4: odd pages as in Theorem 1; pages i = 2 mod 4
+# get i/2 and i/2 + 1, pages i = 0 mod 4 the same two the other way round
+_T2_MOD4_2 = ((2, 0, 2, 1), (4, 0, 6, 1), ((4, 0, 4, 4, 1), (4, 0, 8, 4, 1)), (
+    ((1, 0, 1), 2, (1, 0, -1, 1), (2, 1, 1), (2, 1, 1)),
+    ((1, 0, 2), 4, (1, 0, 0, 1), (2, 1), (2, 1, 2)),
+    ((1, 0, 4), 4, (1, 0, -2, 1), (2, 1, 2), (2, 1))))
+_T2_MOD4_3 = ((2, 0, 1, 1), (1, 0, 1), ((4, 0, 2, 3, 1), (4, 0, 6, 3, 1)), (
+    ((1, 0, 1), 2, (1, 0, 0, 1), (2, 1, 1), (2, 1, 1)),
+    ((1, 0, 2), 4, (1, 0, -1, 1), (2, 1), (2, 1, 2)),
+    ((1, 0, 4), 4, (1, 0, -3, 1), (2, 1, 2), (2, 1))))
+# n = 1 mod 8, n >= 9: pages below the middle page (n+1)/2 get 1 and i, the
+# middle page (n+15)/8 and (3n-3)/8, the pages above it (2i-n+1)/2 and (n+1)/2
+_T2_MOD8_1 = ((2, 0, 1, 1), (1, 0, 1), ((8, 0, 14, 9, 1), (8, 0, 2, 3, 3)), (
+    ((1, 0, 1), 1, (2, 0, -1, 1), (1, 0, 1), (1, 1)),
+    ((2, 0, 1, 1), 1, (2, 0, 1, 1), (8, 0, 15, 1), (8, 0, -3, 3)),
+    ((2, 0, 3, 1), 1, (1, 0, 0, 1), (2, 2, 1, -1), (2, 0, 1, 1))))
+# n = 5 mod 8, n >= 13: as n = 1 mod 8, but with two middle pages, labelled
+# (n+1)/2 and 1, then (n+35)/8 and (3n-15)/8
+_T2_MOD8_5 = ((2, 0, 1, 1), (1, 0, 1), ((8, 0, 22, 13, 1), (8, 0, -6, -1, 3)), (
+    ((1, 0, 1), 1, (2, 0, -1, 1), (1, 0, 1), (1, 1)),
+    ((2, 0, 1, 1), 1, (2, 0, 1, 1), (2, 0, 1, 1), (1, 0, 1)),
+    ((2, 0, 3, 1), 1, (2, 0, 3, 1), (8, 0, 35, 1), (8, 0, -15, 3)),
+    ((2, 0, 5, 1), 1, (1, 0, 0, 1), (2, 2, 1, -1), (2, 0, 1, 1))))
+# the single triangle: weights 3, 4, 5 land on c_1, a, b
+_TRIANGLE = ((1, 0, 3), (1, 0, 3), ((1, 0, 4), (1, 0, 5), (1, 0, 3)), (
+    ((1, 0, 1), 1, (1, 0, 1), (1, 0, 1), (1, 0, 2)),))
+# n = 2 as n even, but ab = 2: with ab = 1, w(a) = 3 = w(c_2)
+_T1_TWO = ((1, 0, 2), (1, 0, 2), ((1, 0, 4), (1, 0, 5)), _T1_EVEN[3])
+# n = 5: modular strength 4, one more than ceil((n+1)/2)
+_T2_FIVE = ((1, 0, 4), (1, 0, 1), ((1, 0, 8), (1, 0, 14)), (
+    ((1, 0, 1), 1, (1, 0, 3), (1, 0, 1), (1, 1)),
+    ((1, 0, 4), 1, (1, 0, 5), (1, 0, 2), (1, 1, -1))))
+_SMALL = {(1, 1): _TRIANGLE, (2, 1): _TRIANGLE, (1, 2): _T1_TWO, (2, 5): _T2_FIVE}
+# n = 0 mod 4 (order 2 mod 4) has no modular labeling
+_BY_RESIDUE = {1: (_T1_EVEN, _T1_ODD) * 4,
+               2: (None, _T2_MOD8_1, _T2_MOD4_2, _T2_MOD4_3, None, _T2_MOD8_5, _T2_MOD4_2, _T2_MOD4_3)}
 
 
-def _book_labels(ab: int, pages: Callable[[int], tuple[np.ndarray, np.ndarray]], n: int):
-    """Builder for the labels ab, then the (ac, bc) pair from ``pages(n)``."""
-    return lambda: np.concatenate([[ab], *pages(n)])
+def _labels(row, n: int) -> np.ndarray:
+    """The labels of ``row`` for B_n; a page that no piece covers keeps 0, which EdgeLabeling rejects."""
+    out = np.zeros(2 * n + 1, dtype=np.int64)
+    out[0] = _value(row[1], n)
+    for first, step, last, *sides in row[3]:
+        lo = _value(first, n)
+        j = np.arange(_exact_div(_value(last, n) - lo, step) + 1, dtype=np.int64)
+        for at, form in zip((lo, n + lo), sides):
+            delta = _exact_div(form[1] * step, form[0])
+            out[at : at + j.size * step : step] = _value(form, n, lo) + j * delta
+    return out
 
 
 def _case(theorem: int, n: int) -> _Case:
     """The construction of Theorem ``theorem`` (1: irregular, 2: modular) for B_n."""
-    _require_pages(n)
+    n = _require_pages(n)
     if theorem not in (1, 2):
         raise ValueError(f"theorem must be 1 or 2, got {theorem}")
-    if n == 1:
-        return _TRIANGLE
-    s = (n + 2) // 2  # ceil((n+1)/2)
-    if theorem == 1:
-        if n == 2:
-            centers = (4, 5)
-        elif n % 2 == 1:
-            centers = (_exact_div(n * n + 2 * n + 5, 4), _exact_div(n * n + 4 * n + 3, 4))
-        else:
-            centers = (_exact_div(n * n + 2 * n + 4, 4), _exact_div(n * n + 4 * n + 4, 4))
-        return _Case(s, _book_labels(2 if n == 2 else 1, _labels_alternating, n), centers)
-    if n == 5:
-        return _Case(4, lambda: (1, 1, 1, 1, 2, 2, 1, 2, 3, 3, 4), (8, 14))
-    if n % 4 == 0:  # order 2 mod 4: no modular labeling
+    row = _SMALL.get((theorem, n), _BY_RESIDUE[theorem][n % 8])
+    if row is None:
         return _Case(math.inf, None, None)
-    if n % 8 == 1:
-        wa = _exact_div((n + 7) * (n + 2), 8)
-        wb = _exact_div(3 * (n - 1) * (n + 2), 8) + 1
-        return _Case(s, _book_labels(1, _labels_residue1_mod8, n), (wa, wb))
-    if n % 8 == 5:
-        wa = _exact_div((n + 11) * (n + 2), 8)
-        wb = _exact_div((3 * n - 7) * (n + 2), 8) + 1
-        return _Case(s, _book_labels(1, _labels_residue5_mod8, n), (wa, wb))
-    if n % 4 == 2:
-        wa = _exact_div((n + 2) * (n + 2), 4)
-        ab = _exact_div(n + 6, 4)
-        return _Case(s, _book_labels(ab, _labels_even_odd_split, n), (wa, wa + 1))
-    wa = _exact_div((n + 1) * (n + 2), 4)
-    return _Case(s, _book_labels(1, _labels_even_odd_split, n), (wa, wa + 1))
+    return _Case(_value(row[0], n), partial(_labels, row, n), tuple(_value(w, n) for w in row[2]))
 
 
 def irregular_strength(n: int) -> int:
@@ -116,79 +161,6 @@ def modular_labeling(n: int) -> EdgeLabeling | None:
     """
     case = _case(2, n)
     return None if case.labels is None else EdgeLabeling(case.labels())
-
-
-def _labels_alternating(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Theorem 1, n >= 2: page i sits at 0-based index i - 1, so odd i is
-    # the 0::2 stride; even pages put the larger label on the b side.
-    i_odd = np.arange(1, n + 1, 2, dtype=np.int64)
-    i_even = np.arange(2, n + 1, 2, dtype=np.int64)
-    ac = np.empty(n, dtype=np.int64)
-    bc = np.empty(n, dtype=np.int64)
-    odd_vals = _exact_div(i_odd + 1, 2)
-    half_even = _exact_div(i_even, 2)
-    ac[0::2] = odd_vals
-    ac[1::2] = half_even
-    bc[0::2] = odd_vals
-    bc[1::2] = half_even + 1
-    return ac, bc
-
-
-def _labels_residue1_mod8(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # n = 8t+1, n >= 9; three pieces around the middle page (n+1)/2.
-    # Page i sits at 0-based index i - 1.
-    half = (n - 1) // 2
-    mid = half + 1
-    i_high = np.arange(mid + 1, n + 1, dtype=np.int64)
-    ac = np.empty(n, dtype=np.int64)
-    bc = np.empty(n, dtype=np.int64)
-    ac[:half] = 1
-    ac[half] = _exact_div(n - 1, 8) + 2
-    ac[mid:] = _exact_div(2 * i_high - n + 1, 2)
-    bc[:half] = np.arange(1, half + 1, dtype=np.int64)
-    bc[half] = _exact_div(3 * n - 3, 8)
-    bc[mid:] = _exact_div(n + 1, 2)
-    return ac, bc
-
-
-def _labels_residue5_mod8(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # n = 8t+5, n >= 13; four pieces, two special pages after the middle.
-    # The b-side tail is the constant (n+1)/2 so w(c_i) = i + 1 holds across
-    # the whole range and the max label stays at (n+1)/2.
-    half = (n - 1) // 2
-    mid2 = half + 2
-    i_high = np.arange(mid2 + 1, n + 1, dtype=np.int64)
-    ac = np.empty(n, dtype=np.int64)
-    bc = np.empty(n, dtype=np.int64)
-    ac[:half] = 1
-    ac[half] = _exact_div(n + 1, 2)
-    ac[half + 1] = _exact_div(n + 35, 8)
-    ac[mid2:] = _exact_div(2 * i_high - n + 1, 2)
-    bc[:half] = np.arange(1, half + 1, dtype=np.int64)
-    bc[half] = 1
-    bc[half + 1] = _exact_div(3 * n - 15, 8)
-    bc[mid2:] = _exact_div(n + 1, 2)
-    return ac, bc
-
-
-def _labels_even_odd_split(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # n = 2 or 3 mod 4; even pages split by i mod 4, odd pages symmetric.
-    # Strides: odd i at 0::2, i = 0 mod 4 at 3::4, i = 2 mod 4 at 1::4.
-    i_odd = np.arange(1, n + 1, 2, dtype=np.int64)
-    i_by4 = np.arange(4, n + 1, 4, dtype=np.int64)
-    i_by2 = np.arange(2, n + 1, 4, dtype=np.int64)
-    ac = np.empty(n, dtype=np.int64)
-    bc = np.empty(n, dtype=np.int64)
-    odd_vals = _exact_div(i_odd + 1, 2)
-    half4 = _exact_div(i_by4, 2)
-    half2 = _exact_div(i_by2, 2)
-    ac[0::2] = odd_vals
-    ac[3::4] = half4 + 1
-    ac[1::4] = half2
-    bc[0::2] = odd_vals
-    bc[3::4] = half4
-    bc[1::4] = half2 + 1
-    return ac, bc
 
 
 def predicted_weights(n: int, theorem: int = 2) -> WeightProfile:

@@ -23,18 +23,20 @@ class Graph:
     __slots__ = ("order", "_edges", "_degrees")
 
     def __init__(self, order: int, edges) -> None:
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+            raise ValueError(f"order must be an integer, got {order!r}")
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
         if order > ORDER_LIMIT:
             raise ValueError(f"order {order} exceeds supported limit {ORDER_LIMIT}")
-        arr = np.asarray(edges, dtype=np.int64)
+        arr = _integer_array(edges, "edge endpoints")
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be a sequence of vertex pairs")
         if arr.size and (arr.min() < 0 or arr.max() >= order):
             raise ValueError("edge endpoint out of range")
-        arr = np.sort(arr, axis=1)
+        arr = np.sort(arr.astype(np.int64, copy=False), axis=1)
         if np.any(arr[:, 0] == arr[:, 1]):
             raise ValueError("self-loops are not allowed")
         if not _is_canonical(arr):
@@ -85,6 +87,18 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, size={self.size})"
+
+
+def _integer_array(values, what: str) -> np.ndarray:
+    """``values`` as an array of integers, exact past int64; ValueError if any is not an integer."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu" or arr.size == 0:
+        return arr
+    # numpy turns integers past int64 into floats or objects, so judge the values themselves
+    arr = np.asarray(values, dtype=object)
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in arr.flat):
+        raise ValueError(f"{what} must be integers")
+    return arr
 
 
 def _is_canonical(arr: np.ndarray) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ORDER_LIMIT, FormatError, Graph
+from .graphs import ORDER_LIMIT, FormatError, Graph, _integer_array
 
 LABEL_LIMIT = 10**6
 
@@ -29,7 +29,7 @@ class EdgeLabeling:
     __slots__ = ("labels", "k")
 
     def __init__(self, labels) -> None:
-        arr = np.asarray(labels, dtype=np.int64)
+        arr = _integer_array(labels, "edge labels")
         if arr.ndim != 1:
             raise ValueError("labels must be a flat sequence")
         if arr.size == 0:
@@ -39,6 +39,7 @@ class EdgeLabeling:
         k = int(arr.max())
         if k > LABEL_LIMIT:
             raise ValueError(f"label {k} exceeds supported limit {LABEL_LIMIT}")
+        arr = arr.astype(np.int64, copy=False)
         arr.setflags(write=False)
         self.labels = arr
         self.k = k

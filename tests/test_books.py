@@ -1,5 +1,7 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from irrstrength import (
@@ -196,3 +198,38 @@ class TestCaseClassification:
             _case(3, 1)
         with pytest.raises(ValueError):
             _case(1, 0)
+
+
+class TestPageCountType:
+    """The page count must be an integer: no float, bool or string passes, numpy integers do."""
+
+    PUBLIC = [irregular_strength, modular_strength, irregular_labeling, modular_labeling, predicted_weights]
+
+    @pytest.mark.parametrize("n", [6.0, 2.5, True, "6", np.float64(6), None])
+    @pytest.mark.parametrize("fn", PUBLIC)
+    def test_rejects_non_integer(self, fn, n):
+        with pytest.raises(ValueError, match="page count must be an integer"):
+            fn(n)
+
+    @pytest.mark.parametrize("fn", PUBLIC)
+    def test_accepts_numpy_integers(self, fn):
+        assert fn(np.int64(6)) == fn(6)
+
+
+# sha256 of the labels, strengths and predicted profiles below, taken from the
+# hand-written builders that the coefficient table replaced
+CONSTRUCTIONS_DIGEST = "4422c2c06c55224c9c84369d076a25ee589501844c56b00b58c5763b94977923"
+
+
+def test_constructions_match_pinned_digest():
+    h = hashlib.sha256()
+    theorems = ((1, irregular_labeling, irregular_strength), (2, modular_labeling, modular_strength))
+    for n in range(1, 2001):
+        for theorem, labeling, strength in theorems:
+            f = labeling(n)
+            h.update(f"{n} {theorem} {strength(n)}\n".encode())
+            if f is not None:
+                prof = predicted_weights(n, theorem)
+                for arr in (f.labels, prof.weights, prof.residues):
+                    h.update(arr.astype("<i8").tobytes())
+    assert h.hexdigest() == CONSTRUCTIONS_DIGEST

@@ -38,6 +38,19 @@ class TestEdgeLabeling:
         with pytest.raises(ValueError, match="limit"):
             EdgeLabeling([1, 10**6 + 1])
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[1.7, 2.2], ["3", "1"], [True, False], np.array([1.0, 2.0])],
+        ids=["float", "string", "bool", "float-array"],
+    )
+    def test_rejects_non_integer_labels(self, labels):
+        with pytest.raises(ValueError, match="edge labels must be integers"):
+            EdgeLabeling(labels)
+
+    def test_label_past_int64_is_value_error(self):
+        with pytest.raises(ValueError, match="exceeds supported limit"):
+            EdgeLabeling([1, 2**70])
+
     def test_labels_read_only(self):
         f = EdgeLabeling([1, 2])
         with pytest.raises(ValueError):
