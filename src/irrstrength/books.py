@@ -26,24 +26,14 @@ that they give the stated labelings for every n >= 8.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from .graphs import _integer
 from .labelings import EdgeLabeling, WeightProfile
-
-
-def _require_pages(n) -> int:
-    try:
-        pages = operator.index(n)
-    except TypeError:
-        pages = 0
-    if isinstance(n, bool) or pages < 1:
-        raise ValueError(f"page count must be an integer >= 1, got {n!r}")
-    return pages
 
 
 def _exact_div(value: int, divisor: int) -> int:
@@ -126,8 +116,8 @@ def _labels(row, n: int) -> np.ndarray:
 
 def _case(theorem: int, n: int) -> _Case:
     """The construction of Theorem ``theorem`` (1: irregular, 2: modular) for B_n."""
-    n = _require_pages(n)
-    if theorem not in (1, 2):
+    n, theorem = _integer(n, "page count", 1), _integer(theorem, "theorem", 1)
+    if theorem > 2:
         raise ValueError(f"theorem must be 1 or 2, got {theorem}")
     row = _SMALL.get((theorem, n), _BY_RESIDUE[theorem][n % 8])
     if row is None:

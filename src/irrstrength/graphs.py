@@ -8,6 +8,8 @@ c_i = i + 1 so emitted certificates are comparable across runs.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 ORDER_LIMIT = 10**6
@@ -23,10 +25,7 @@ class Graph:
     __slots__ = ("order", "_edges", "_degrees")
 
     def __init__(self, order: int, edges) -> None:
-        if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-            raise ValueError(f"order must be an integer, got {order!r}")
-        if order < 0:
-            raise ValueError(f"order must be nonnegative, got {order}")
+        order = _integer(order, "order", 0)
         if order > ORDER_LIMIT:
             raise ValueError(f"order {order} exceeds supported limit {ORDER_LIMIT}")
         arr = _integer_array(edges, "edge endpoints")
@@ -44,7 +43,7 @@ class Graph:
             if not _is_canonical(arr):
                 raise ValueError("duplicate edges are not allowed")
         arr.setflags(write=False)
-        self.order = int(order)
+        self.order = order
         self._edges = arr
         self._degrees = None
 
@@ -89,14 +88,24 @@ class Graph:
         return f"Graph(order={self.order}, size={self.size})"
 
 
+def _integer(value, what: str, least: int) -> int:
+    """``value`` as an int; ValueError unless it is an int or numpy integer (not bool) >= ``least``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool) or number < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return number
+
+
 def _integer_array(values, what: str) -> np.ndarray:
     """``values`` as an array of integers, exact past int64; ValueError if any is not an integer."""
-    arr = np.asarray(values)
-    if arr.dtype.kind in "iu" or arr.size == 0:
-        return arr
-    # numpy turns integers past int64 into floats or objects, so judge the values themselves
+    # numpy casts booleans among integers to 0 and 1, so all but an integer ndarray is judged per element
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values
     arr = np.asarray(values, dtype=object)
-    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in arr.flat):
+    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, arr.flat))):
         raise ValueError(f"{what} must be integers")
     return arr
 
@@ -117,8 +126,7 @@ def make_triangular_book(n: int) -> Graph:
     Order n + 2, size 2n + 1. The canonical edge order is ab, then
     ac_1..ac_n, then bc_1..bc_n.
     """
-    if n < 1:
-        raise ValueError(f"a triangular book needs n >= 1 pages, got {n}")
+    n = _integer(n, "page count", 1)
     if n + 2 > ORDER_LIMIT:
         raise ValueError(f"order {n + 2} exceeds supported limit {ORDER_LIMIT}")
     apex = np.arange(2, n + 2, dtype=np.int64)
@@ -137,9 +145,8 @@ def make_family(kind: str, size: int) -> Graph:
     ``size`` is the vertex count for paths and cycles, the leaf count for
     stars (star order is size + 1).
     """
+    size = _integer(size, "size", 2)
     if kind == "path":
-        if size < 2:
-            raise ValueError("path needs at least 2 vertices")
         i = np.arange(size - 1, dtype=np.int64)
         return Graph(size, np.column_stack([i, i + 1]))
     if kind == "cycle":
@@ -148,8 +155,6 @@ def make_family(kind: str, size: int) -> Graph:
         i = np.arange(size, dtype=np.int64)
         return Graph(size, np.column_stack([i, (i + 1) % size]))
     if kind == "star":
-        if size < 2:
-            raise ValueError("star needs at least 2 leaves")
         leaves = np.arange(1, size + 1, dtype=np.int64)
         return Graph(size + 1, np.column_stack([np.zeros(size, dtype=np.int64), leaves]))
     raise ValueError(f"unknown family {kind!r}")

@@ -182,29 +182,21 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(_certificate_doc(cert), separators=(",", ":"))
 
 
-def _holds_bool(value) -> bool:
-    if isinstance(value, list):
-        return any(map(_holds_bool, value))
-    return isinstance(value, bool)
-
-
 def _json_ints(doc: dict, field: str, scan_bools: bool) -> np.ndarray:
     """``doc[field]``, a JSON integer or nested lists of them, as an int64 array.
 
-    Floats, strings, nulls and integers beyond int64 give the array another
-    dtype kind. Booleans mixed with integers convert to 0 and 1, so they are
-    looked for element by element unless ``scan_bools`` is false. Anything
-    but integers is a FormatError.
+    ``_integer_array`` judges the field itself when ``scan_bools`` is true,
+    else numpy's conversion of it, which for integers alone passes at no
+    cost. Anything but integers within int64 is a FormatError.
     """
     value = doc[field]
     try:
         arr = np.asarray(value)
+        _integer_array(value if scan_bools else arr, field)
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{field}: {exc}") from exc
     if arr.size and arr.dtype.kind != "i":
         raise FormatError(f"{field} must be JSON integers within int64, got dtype {arr.dtype}")
-    if scan_bools and _holds_bool(value):
-        raise FormatError(f"{field} must be JSON integers, got a boolean")
     return arr.astype(np.int64, copy=False)
 
 

@@ -21,7 +21,6 @@ whole block by broadcasting. A budget of ``_COUNT_BUDGET`` assignments
 from __future__ import annotations
 
 import json
-import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import has_small_component, lower_bound_s, modular_infinite
-from .graphs import Graph
+from .graphs import Graph, _integer
 from .labelings import (
     IRREGULAR,
     MODULAR,
@@ -54,11 +53,10 @@ _COUNT_BLOCK = 1 << 15  # assignments checked per numpy batch
 @dataclass
 class SolverConfig:
     k_max: int | None = None  # None: 2 * order + 2
-    count_solutions: bool = False
 
     def __post_init__(self) -> None:
-        if self.k_max is not None and self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+        if self.k_max is not None:
+            self.k_max = _integer(self.k_max, "k_max", 1)
 
 
 @dataclass(eq=False)
@@ -68,7 +66,6 @@ class StrengthResult:
     k: int | None = None
     k_max: int | None = None
     certificate: Certificate | None = None
-    solution_count: int | None = None
     nodes: int = 0
     elapsed: float = 0.0
 
@@ -79,8 +76,6 @@ class StrengthResult:
             doc["certificate"] = _certificate_doc(self.certificate)
         elif self.outcome == UNKNOWN:
             doc["kMax"] = self.k_max
-        if self.solution_count is not None:
-            doc["solutionCount"] = self.solution_count
         return json.dumps(doc, separators=(",", ":"))
 
 
@@ -116,28 +111,24 @@ def _search_plan(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
     return plan
 
 
-def _search(plan, order: int, k: int, modulus: int, count_all: bool):
+def _search(plan, order: int, k: int, modulus: int):
     """Depth-first search over ``plan`` with labels in 1..k.
 
-    Returns (canonical labels of the first solution or None, solution
-    count, nodes). A closed vertex's weight, reduced mod ``modulus`` when it
-    is nonzero, must differ from every other closed vertex's.
+    Returns (canonical labels of the first solution or None, nodes). A
+    closed vertex's weight, reduced mod ``modulus`` when it is nonzero, must
+    differ from every other closed vertex's.
     """
     size = len(plan)
     labels = [0] * size  # in plan order
     weights = [0] * order
     finals: set[int] = set()
-    best: list[int] | None = None
-    count = nodes = 0
+    nodes = 0
     sys.setrecursionlimit(max(sys.getrecursionlimit(), size + 100))
 
     def descend(i: int) -> bool:
-        nonlocal best, count, nodes
+        nonlocal nodes
         if i == size:
-            count += 1
-            if best is None:
-                best = labels.copy()
-            return not count_all
+            return True
         _, u, v, closing = plan[i]
         for lab in range(1, k + 1):
             nodes += 1
@@ -161,13 +152,13 @@ def _search(plan, order: int, k: int, modulus: int, count_all: bool):
             weights[v] -= lab
         return False
 
-    descend(0)
-    if best is None:
-        return None, count, nodes
+    if not descend(0):
+        return None, nodes
+    # a solution returns before its labels are undone
     canonical = [0] * size
-    for step, lab in zip(plan, best):
+    for step, lab in zip(plan, labels):
         canonical[step[0]] = lab
-    return canonical, count, nodes
+    return canonical, nodes
 
 
 def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResult:
@@ -203,7 +194,7 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     modulus = g.order if mode == MODE_MS else 0
     nodes = 0
     for k in range(lb, k_max + 1):
-        best, count, searched = _search(plan, g.order, k, modulus, cfg.count_solutions)
+        best, searched = _search(plan, g.order, k, modulus)
         nodes += searched
         if best is not None:
             cert = make_certificate(g, EdgeLabeling(best), MODULAR if mode == MODE_MS else IRREGULAR)
@@ -215,7 +206,6 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
                 outcome=FINITE,
                 k=k,
                 certificate=cert,
-                solution_count=count if cfg.count_solutions else None,
                 nodes=nodes,
                 elapsed=time.monotonic() - start,
             )
@@ -247,13 +237,7 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
     """
     if mode not in (MODE_S, MODE_MS):
         raise ValueError(f"mode must be '{MODE_S}' or '{MODE_MS}', got {mode!r}")
-    try:
-        k_value = operator.index(k)
-    except TypeError:
-        k_value = 0
-    if isinstance(k, bool) or k_value < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    k = k_value
+    k = _integer(k, "k", 1)
     if g.size == 0:
         raise ValueError("graph has no edges")
     if k ** g.size > _COUNT_BUDGET:

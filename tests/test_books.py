@@ -152,6 +152,9 @@ class TestPredictedWeights:
     def test_rejects_bad_theorem(self):
         with pytest.raises(ValueError):
             predicted_weights(3, theorem=3)
+        for theorem in (True, 1.0):
+            with pytest.raises(ValueError, match="theorem must be an integer"):
+                predicted_weights(6, theorem=theorem)
 
 
 class TestCaseClassification:
@@ -203,7 +206,10 @@ class TestCaseClassification:
 class TestPageCountType:
     """The page count must be an integer: no float, bool or string passes, numpy integers do."""
 
-    PUBLIC = [irregular_strength, modular_strength, irregular_labeling, modular_labeling, predicted_weights]
+    PUBLIC = [
+        irregular_strength, modular_strength, irregular_labeling, modular_labeling, predicted_weights,
+        make_triangular_book,
+    ]
 
     @pytest.mark.parametrize("n", [6.0, 2.5, True, "6", np.float64(6), None])
     @pytest.mark.parametrize("fn", PUBLIC)

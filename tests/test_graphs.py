@@ -40,8 +40,12 @@ class TestGraphConstruction:
             (3, np.array([[0.0, 2.0]]), "must be integers"),
             (3.0, [(0, 1)], "order must be an integer"),
             (True, [], "order must be an integer"),
+            (3, [(True, 2)], "must be integers"),
         ],
-        ids=["past-int64", "mixed-past-int64", "float", "string", "float-array", "float-order", "bool-order"],
+        ids=[
+            "past-int64", "mixed-past-int64", "float", "string", "float-array", "float-order", "bool-order",
+            "bool-endpoint",
+        ],
     )
     def test_rejects_non_integer_input(self, order, edges, message):
         with pytest.raises(ValueError, match=message):
@@ -128,7 +132,7 @@ class TestFamilies:
         assert g.edge_tuples() == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
     @pytest.mark.parametrize(
-        "kind,size", [("path", 1), ("cycle", 2), ("star", 1)]
+        "kind,size", [("path", 1), ("cycle", 2), ("star", 1), ("star", 3.0)]
     )
     def test_rejects_undersized(self, kind, size):
         with pytest.raises(ValueError):

@@ -40,8 +40,8 @@ class TestEdgeLabeling:
 
     @pytest.mark.parametrize(
         "labels",
-        [[1.7, 2.2], ["3", "1"], [True, False], np.array([1.0, 2.0])],
-        ids=["float", "string", "bool", "float-array"],
+        [[1.7, 2.2], ["3", "1"], [True, False], np.array([1.0, 2.0]), [True, 2]],
+        ids=["float", "string", "bool", "float-array", "mixed-bool"],
     )
     def test_rejects_non_integer_labels(self, labels):
         with pytest.raises(ValueError, match="edge labels must be integers"):

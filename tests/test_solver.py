@@ -104,8 +104,9 @@ class TestSolveEdgeCases:
             solve(make_triangular_book(6), "s", SolverConfig(k_max=3))
 
     def test_bad_config(self):
-        with pytest.raises(ValueError):
-            SolverConfig(k_max=0)
+        for k_max in (0, True, 2.5, "3"):
+            with pytest.raises(ValueError, match="k_max must be an integer"):
+                SolverConfig(k_max=k_max)
 
 
 class TestCountLabelings:
@@ -178,7 +179,8 @@ class TestCountLabelings:
                 assert count_labelings(g, mode, 1) == 0
 
     def test_agrees_with_pruned_search_counts(self):
-        # enumeration oracle vs the solver's counting DFS, both modes
+        # enumeration oracle vs the pruned search, both modes: from the bound up to
+        # the solved k, the search finds a labeling by j iff the oracle counts one at j
         rng = random.Random(20240817)
         instances = [C3, make_family("path", 4), make_family("star", 3), make_triangular_book(2)]
         instances += [random_solid_graph(rng, 3, 5) for _ in range(6)]
@@ -186,9 +188,11 @@ class TestCountLabelings:
             for mode in ("s", "ms"):
                 if mode == "ms" and g.order % 4 == 2:
                     continue
-                result = solve(g, mode, SolverConfig(count_solutions=True))
+                result = solve(g, mode)
                 assert result.outcome == "finite"
-                assert result.solution_count == count_labelings(g, mode, result.k)
+                for j in range(lower_bound_s(g), result.k + 1):
+                    found = solve(g, mode, SolverConfig(k_max=j)).outcome == "finite"
+                    assert found == (count_labelings(g, mode, j) > 0)
 
 
 class TestMinimality:
