@@ -9,6 +9,7 @@ errors; diagnostics are single lines on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -27,6 +28,7 @@ from .labelings import (
 from .solver import SolverConfig, StrengthResult, solve
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irrstrength",

@@ -107,7 +107,10 @@ def _integer_array(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=object)
     if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, arr.flat))):
         raise ValueError(f"{what} must be integers")
-    return arr
+    try:
+        return arr.astype(np.int64)
+    except OverflowError:  # past int64: kept exact, so range checks report the value as it is
+        return arr
 
 
 def _is_canonical(arr: np.ndarray) -> bool:

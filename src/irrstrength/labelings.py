@@ -165,21 +165,73 @@ def make_certificate(g: Graph, f: EdgeLabeling, mode: str) -> Certificate:
     return Certificate(graph=g, labeling=f, profile=vertex_weights(g, f), mode=mode)
 
 
-def _certificate_doc(cert: Certificate) -> dict:
-    return {
-        "order": cert.graph.order,
-        "edges": cert.graph.edges.tolist(),
-        "labels": cert.labeling.labels.tolist(),
-        "weights": cert.profile.weights.tolist(),
-        "residues": cert.profile.residues.tolist(),
-        "k": cert.labeling.k,
-        "mode": cert.mode,
-    }
+def _layout(m: int, order: int, slot: str) -> tuple[str, ...]:
+    """The writer's certificate text up to the mode's value, one part per field, ``slot`` in place of each number."""
+    n = slot + ","
+    return (
+        '{"order":' + slot,
+        ',"edges":[' + (("[" + n + slot + "],") * m)[:-1],
+        '],"labels":[' + (n * m)[:-1],
+        '],"weights":[' + (n * order)[:-1],
+        '],"residues":[' + (n * order)[:-1],
+        '],"k":' + n + '"mode":',
+    )
 
 
 def certificate_to_json(cert: Certificate) -> str:
     """Single-line JSON with fixed key order, suitable for golden files."""
-    return json.dumps(_certificate_doc(cert), separators=(",", ":"))
+    g, f = cert.graph, cert.labeling
+    fields = (g.order, g.edges, f.labels, cert.profile.weights, cert.profile.residues, f.k)
+    # field by field, so the Python ints of one field are freed before the next is formatted
+    text = "".join(part % tuple(np.ravel(v).tolist()) for part, v in zip(_layout(g.size, g.order, "%d"), fields))
+    return text + json.dumps(cert.mode) + "}"
+
+
+_DIGITS = b"0123456789"
+_DIGITS_ONLY = bytes(c if c in _DIGITS else 32 for c in range(256))
+# 1: may open a number's slot, 2: may close one, 3: both
+_SLOT_SIDES = bytes({ord(":"): 1, ord("["): 1, ord(","): 3, ord("]"): 2}.get(c, 0) for c in range(256))
+_POWERS = 10 ** np.arange(1, 18, dtype=np.int64)
+_MODE_ENDS = {b'"%s"}' % mode.encode(): mode for mode in (IRREGULAR, MODULAR)}
+
+
+def _writer_doc(text: str) -> dict | None:
+    """The fields of ``text`` read as whole arrays, or None unless it is the writer's output.
+
+    ``text``, stripped of JSON whitespace, must be byte for byte what
+    ``certificate_to_json`` emits for the numbers it holds: every other
+    text is left to ``json.loads``, so both read alike and fail alike.
+    """
+    if not (isinstance(text, str) and text.isascii()):
+        return None
+    raw = text.strip(" \t\n\r").encode("ascii")
+    sides = np.frombuffer(raw.translate(_SLOT_SIDES), dtype=np.uint8)
+    if (sides[:-1] & (sides[1:] >> 1)).any():  # an empty slot, so values could sit outside the slots
+        return None
+    # with every slot filled, a value count that matches the layout puts one value in each slot
+    values = np.fromstring(raw.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
+    order = int(values[0]) if values.size else 0
+    m, rest = divmod(values.size - 2 - 2 * order, 3)
+    if m < 1 or order < 1 or rest:
+        return None
+    layout = raw.translate(None, _DIGITS)
+    head = "".join(_layout(m, order, "")).encode("ascii")
+    mode = _MODE_ENDS.get(layout[len(head) :])
+    if mode is None or not layout.startswith(head):
+        return None
+    # digits counted up to 18, so a leading zero or a value from 10^18 up (clipped to int64 or not) spells more
+    if len(raw) - len(layout) != values.size + int(np.searchsorted(_POWERS, values, side="right").sum()):
+        return None
+    edges, labels, weights, residues, k = np.split(values[1:], np.cumsum([2 * m, m, order, order]))
+    return {
+        "order": order,
+        "edges": edges.reshape(m, 2),
+        "labels": labels,
+        "weights": weights,
+        "residues": residues,
+        "k": int(k[0]),
+        "mode": mode,
+    }
 
 
 def _json_ints(doc: dict, field: str, scan_bools: bool) -> np.ndarray:
@@ -206,10 +258,15 @@ def certificate_from_json(text: str) -> Certificate:
     Enforces the input limits and recomputes the weight profile from the
     graph and labels; any mismatch with the stored arrays is rejected.
     """
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the recursion limit
-        raise FormatError(f"bad certificate JSON: {exc}") from exc
+    doc = _writer_doc(text)
+    scan_bools = False
+    if doc is None:
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the recursion limit
+            raise FormatError(f"bad certificate JSON: {exc}") from exc
+        # a JSON boolean is spelled out in the text; without one, none can be inside
+        scan_bools = "true" in text or "false" in text
     if not isinstance(doc, dict):
         raise FormatError("certificate must be a JSON object")
     missing = {"order", "edges", "labels", "weights", "residues", "k", "mode"} - doc.keys()
@@ -217,8 +274,6 @@ def certificate_from_json(text: str) -> Certificate:
         raise FormatError(f"certificate missing fields: {sorted(missing)}")
     if doc["mode"] not in (IRREGULAR, MODULAR):
         raise FormatError(f"unknown certificate mode {doc['mode']!r}")
-    # a JSON boolean is spelled out in the text; without one, none can be inside
-    scan_bools = "true" in text or "false" in text
     order = _json_ints(doc, "order", scan_bools)
     if order.ndim or order > ORDER_LIMIT:
         raise FormatError("certificate order missing or out of range")

@@ -34,7 +34,7 @@ from .labelings import (
     MODULAR,
     Certificate,
     EdgeLabeling,
-    _certificate_doc,
+    certificate_to_json,
     make_certificate,
     verify_profile,
 )
@@ -73,10 +73,12 @@ class StrengthResult:
         doc: dict = {"mode": self.mode, "outcome": self.outcome}
         if self.outcome == FINITE:
             doc["k"] = self.k
-            doc["certificate"] = _certificate_doc(self.certificate)
         elif self.outcome == UNKNOWN:
             doc["kMax"] = self.k_max
-        return json.dumps(doc, separators=(",", ":"))
+        text = json.dumps(doc, separators=(",", ":"))
+        if self.outcome == FINITE:
+            return text[:-1] + ',"certificate":' + certificate_to_json(self.certificate) + "}"
+        return text
 
 
 def _search_plan(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:

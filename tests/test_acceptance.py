@@ -204,6 +204,12 @@ def test_criterion_7_property_suite_over_randomized_instances():
             mode = "modular" if i % 2 else "irregular"
             text = certificate_to_json(make_certificate(g, f, mode))
             assert certificate_to_json(certificate_from_json(text)) == text
+        for kind, sizes in [("path", range(3, 9)), ("cycle", range(3, 9)), ("star", range(2, 7))]:
+            for size, mode in product(sizes, ("s", "ms")):
+                result = solve(make_family(kind, size), mode)
+                if result.outcome == "finite":
+                    text = certificate_to_json(result.certificate)
+                    assert certificate_to_json(certificate_from_json(text)) == text
 
         # repeat runs give a byte-identical certificate
         repeats_checked = 0

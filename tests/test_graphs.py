@@ -11,6 +11,7 @@ from irrstrength import (
     make_triangular_book,
     parse_edge_list,
 )
+from irrstrength.graphs import _integer_array
 
 
 class TestGraphConstruction:
@@ -54,6 +55,11 @@ class TestGraphConstruction:
     def test_accepts_numpy_integers(self):
         g = Graph(np.int64(3), np.array([[0, 2]], dtype=np.uint8))
         assert g.order == 3 and g.edge_tuples() == [(0, 2)] and g.edges.dtype == np.int64
+
+    def test_integer_lists_become_int64(self):
+        assert _integer_array([[0, 1], [2, 3]], "edge endpoints").dtype == np.int64
+        assert _integer_array([1, np.uint8(2)], "edge labels").dtype == np.int64
+        assert _integer_array([1, 2**63], "edge labels").tolist() == [1, 2**63]  # past int64 stays exact
 
     def test_rejects_oversized_order(self):
         with pytest.raises(ValueError, match="limit"):

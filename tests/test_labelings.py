@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrstrength import (
     EdgeLabeling,
@@ -13,11 +15,15 @@ from irrstrength import (
     make_certificate,
     make_family,
     make_triangular_book,
+    modular_labeling,
+    solve,
     verify_irregular,
     verify_modular,
     vertex_weights,
 )
 from irrstrength.books import irregular_labeling
+from irrstrength.graphs import ORDER_LIMIT, _integer_array
+from irrstrength.labelings import Certificate
 
 C3 = make_family("cycle", 3)
 
@@ -226,3 +232,157 @@ class TestDotExport:
             '  1 -- 2 [label="3"];\n'
             "}\n"
         )
+
+
+def reference_ints(doc: dict, field: str, scan_bools: bool) -> np.ndarray:
+    """``doc[field]`` as an int64 array, or the reader's FormatError for it."""
+    value = doc[field]
+    try:
+        arr = np.asarray(value)
+        _integer_array(value if scan_bools else arr, field)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise FormatError(f"{field}: {exc}") from exc
+    if arr.size and arr.dtype.kind != "i":
+        raise FormatError(f"{field} must be JSON integers within int64, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def reference_from_json(text: str) -> Certificate:
+    """The certificate reader with ``json.loads`` as its only parser, as an oracle."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"bad certificate JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("certificate must be a JSON object")
+    missing = {"order", "edges", "labels", "weights", "residues", "k", "mode"} - doc.keys()
+    if missing:
+        raise FormatError(f"certificate missing fields: {sorted(missing)}")
+    if doc["mode"] not in ("irregular", "modular"):
+        raise FormatError(f"unknown certificate mode {doc['mode']!r}")
+    scan_bools = "true" in text or "false" in text
+    order = reference_ints(doc, "order", scan_bools)
+    if order.ndim or order > ORDER_LIMIT:
+        raise FormatError("certificate order missing or out of range")
+    edges = reference_ints(doc, "edges", scan_bools)
+    labels = reference_ints(doc, "labels", scan_bools)
+    try:
+        graph = Graph(int(order), edges)
+        labeling = EdgeLabeling(labels)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise FormatError(str(exc)) from exc
+    k = reference_ints(doc, "k", scan_bools)
+    if k.ndim or labeling.k != k:
+        raise FormatError(f"stored k={doc['k']} but max label is {labeling.k}")
+    if len(labeling) != graph.size:
+        raise FormatError("labels not aligned with edge list")
+    profile = vertex_weights(graph, labeling)
+    if not np.array_equal(profile.weights, reference_ints(doc, "weights", scan_bools)):
+        raise FormatError("stored weights do not match recomputation")
+    if not np.array_equal(profile.residues, reference_ints(doc, "residues", scan_bools)):
+        raise FormatError("stored residues do not match recomputation")
+    return Certificate(graph=graph, labeling=labeling, profile=profile, mode=doc["mode"])
+
+
+def writer_texts() -> list[str]:
+    """Closed-form certificates of small books, then solved ones of the small families."""
+    certs = []
+    for n in (1, 2, 3, 5, 30):
+        g = make_triangular_book(n)
+        certs.append(make_certificate(g, irregular_labeling(n), "irregular"))
+        if modular_labeling(n) is not None:
+            certs.append(make_certificate(g, modular_labeling(n), "modular"))
+    for kind, size in [("path", 3), ("path", 6), ("cycle", 4), ("cycle", 7), ("star", 3)]:
+        for mode in ("s", "ms"):
+            result = solve(make_family(kind, size), mode)
+            if result.outcome == "finite":
+                certs.append(result.certificate)
+    return [certificate_to_json(c) for c in certs]
+
+
+TEXTS = writer_texts()
+PIECES = [*"0123456789,[]{}:\"", " ", "\t", "\n", "\r", "\x0c", *"-+.eE", "00", "9" * 20, "true", "null"]
+PADS = st.sampled_from(["", "", "", " ", "\n", "\r\n\t ", "\x0c"])
+
+
+@st.composite
+def mutated_texts(draw):
+    """Writer output with a few characters inserted, deleted, replaced or moved."""
+    text = draw(st.sampled_from(TEXTS))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "move"]))
+        piece = text[i] if edit == "move" else draw(st.sampled_from(PIECES))
+        if edit != "insert":
+            text = text[:i] + text[i + 1 :]
+        if edit == "move":
+            i = draw(st.integers(0, len(text)))
+        if edit != "delete":
+            text = text[:i] + piece + text[i:]
+    return draw(PADS) + text + draw(PADS)
+
+
+@st.composite
+def rearranged_texts(draw):
+    """Writer output with its keys in another order, one of them perhaps given twice."""
+    pairs = draw(st.permutations(list(json.loads(draw(st.sampled_from(TEXTS))).items())))
+    if draw(st.booleans()):
+        other = list(json.loads(draw(st.sampled_from(TEXTS))).items())
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(other)))
+    return "{" + ",".join(f"{json.dumps(k)}:{json.dumps(v, separators=(',', ':'))}" for k, v in pairs) + "}"
+
+
+class TestReaderAgainstReference:
+    """``certificate_from_json`` reads, rejects and reports exactly as the ``json.loads`` reference."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(mutated_texts())
+    def test_mutated(self, text):
+        self.check(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rearranged_texts())
+    def test_rearranged(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('"order":3', '"order":03'),
+            ("[3,1,2]", "[03,1,2]"),
+            ("[3,1,2]", "[00,1,2]"),
+            ("[3,1,2]", "[%d,1,2]" % 10**18),
+            ("[3,1,2]", "[99999999999999999999,1,2]"),
+            ('"k":3', '"k":%d' % 2**63),
+            ('[[0,1],[0,2]', '[[,1],[0,2]'),
+            ('[[0,1],[0,2],[1,2]],"labels"', '[[,1],[0,2],[1,2]],"lab0els"'),
+            ("[3,1,2]", "[3,1,2,]"),
+            ("[3,1,2]", "[-3,1,2]"),
+            ("}", "}\x0c"),
+            ("}", "} \t\r\n"),
+        ],
+    )
+    def test_near_writer_output(self, old, new):
+        self.check(TEXTS[0].replace(old, new, 1))
+
+    def test_writer_output_never_reaches_json(self, monkeypatch):
+        texts = TEXTS + [certificate_to_json(make_certificate(make_triangular_book(1000), irregular_labeling(1000), "irregular"))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads reached")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        for text in texts:
+            for padded in (text, text + "\n", " \t" + text + "\r\n"):
+                assert certificate_to_json(certificate_from_json(padded)) == text
+
+    @staticmethod
+    def check(text):
+        try:
+            want = reference_from_json(text)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                certificate_from_json(text)
+            assert str(got.value) == str(exc)
+            return
+        assert certificate_from_json(text) == want
