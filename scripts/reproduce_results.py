@@ -81,7 +81,7 @@ def construction_sweep(sweep_to: int) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--table-to", type=int, default=16)
-    parser.add_argument("--solve-upto", type=int, default=8)
+    parser.add_argument("--solve-upto", type=int, default=16)
     parser.add_argument("--sweep-to", type=int, default=10000)
     args = parser.parse_args()
 

@@ -261,9 +261,11 @@ def certificate_from_json(text: str) -> Certificate:
     doc = _writer_doc(text)
     scan_bools = False
     if doc is None:
+        # ValueError covers JSONDecodeError and a number past Python's integer
+        # digit limit; RecursionError, nesting past the recursion limit
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"bad certificate JSON: {exc}") from exc
         # a JSON boolean is spelled out in the text; without one, none can be inside
         scan_bools = "true" in text or "false" in text

@@ -9,6 +9,12 @@ is final, and its weight (residue, in modular mode) must differ from every
 other final vertex, otherwise the branch is cut. The first full assignment
 in search-order DFS is mapped back to canonical edge order and returned,
 so the minimal feasible k yields a deterministic certificate.
+Twins u, v, with N(u) - {v} = N(v) - {u} (equal open or closed
+neighbourhoods), give an automorphism (u v). For each two consecutive
+members of a twin class, search skips every label that would make the
+labels so far lex-greater, in plan order, than their image under (u v)
+(lex-leader symmetry breaking). That image is valid too, so the first
+solution in DFS order is never lex-greater: certificates stay the same.
 ``count_labelings`` is an independent full-enumeration oracle with no
 pruning, no search order and no theory; it exists to cross-check the
 search. It checks every one of the k**size assignments in numpy batches:
@@ -113,12 +119,53 @@ def _search_plan(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
     return plan
 
 
-def _search(plan, order: int, k: int, modulus: int):
+def _twin_checks(plan, order: int) -> list[tuple]:
+    """Per step q of ``plan``, the twin transpositions with a cycle (p, q):
+    each as all its cycles of steps, p < q in each, sorted by p."""
+    at = [{} for _ in range(order)]  # at[u][w]: the step of edge {u, w}
+    masks = [0] * order
+    for i, (_, u, v, _) in enumerate(plan):
+        at[u][v] = at[v][u] = i
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    checks = [()] * len(plan)
+    last = {}  # the latest vertex with each open (key >= 0) or closed neighbourhood
+    for v, mask in enumerate(masks):
+        for key in (mask, ~(mask | 1 << v)):
+            u = last.get(key)
+            last[key] = v
+            if u is not None:
+                pairs = [(p, at[v][w]) for w, p in at[u].items() if w != v]
+                cycles = tuple(sorted([(p, q) if p < q else (q, p) for p, q in pairs]))
+                for _, q in cycles:
+                    checks[q] += (cycles,)
+    return checks
+
+
+def _least_label(twins, labels, i: int) -> int:
+    """The least label step i may take: a smaller one makes ``labels[:i + 1]``
+    lex-greater than its image under a transposition in ``twins``."""
+    least = 1
+    for cycles in twins:
+        bound = 0
+        for p, q in cycles:
+            if q > i:
+                break
+            if q == i:  # labels[i] >= labels[p]; if equal, the later cycles decide
+                bound = labels[p]
+            elif labels[p] != labels[q]:
+                bound += labels[p] > labels[q]
+                break
+        least = max(least, bound)
+    return least
+
+
+def _search(plan, checks, order: int, k: int, modulus: int):
     """Depth-first search over ``plan`` with labels in 1..k.
 
-    Returns (canonical labels of the first solution or None, nodes). A
-    closed vertex's weight, reduced mod ``modulus`` when it is nonzero, must
-    differ from every other closed vertex's.
+    Returns (canonical labels of the first solution or None, nodes). Step
+    i starts at ``_least_label`` of ``checks[i]``. A closed vertex's weight,
+    reduced mod ``modulus`` when nonzero, must differ from every other's.
     """
     size = len(plan)
     labels = [0] * size  # in plan order
@@ -132,7 +179,8 @@ def _search(plan, order: int, k: int, modulus: int):
         if i == size:
             return True
         _, u, v, closing = plan[i]
-        for lab in range(1, k + 1):
+        twins = checks[i]
+        for lab in range(_least_label(twins, labels, i) if twins else 1, k + 1):
             nodes += 1
             labels[i] = lab
             weights[u] += lab
@@ -193,10 +241,11 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
         raise ValueError(f"k_max={k_max} is below the lower bound {lb}")
 
     plan = _search_plan(g)
+    checks = _twin_checks(plan, g.order)
     modulus = g.order if mode == MODE_MS else 0
     nodes = 0
     for k in range(lb, k_max + 1):
-        best, searched = _search(plan, g.order, k, modulus)
+        best, searched = _search(plan, checks, g.order, k, modulus)
         nodes += searched
         if best is not None:
             cert = make_certificate(g, EdgeLabeling(best), MODULAR if mode == MODE_MS else IRREGULAR)

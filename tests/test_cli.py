@@ -167,6 +167,19 @@ class TestVerifyVerb:
         )
         assert code == 3
 
+    def test_integer_past_the_digit_limit_is_format_error(self, capsys, tmp_path):
+        # json.loads raises a plain ValueError past Python's 4,300-digit limit
+        graph_file = tmp_path / "g.txt"
+        cert_file = tmp_path / "c.json"
+        graph_file.write_text("3 3\n0 1\n0 2\n1 2\n")
+        cert_file.write_text('{"order":' + "1" * 5000 + "}")
+        code, out, err = invoke(
+            capsys, "verify", "--graph", str(graph_file), "--cert", str(cert_file),
+            "--mode", "irregular",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: bad certificate JSON")
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -251,7 +251,7 @@ def reference_from_json(text: str) -> Certificate:
     """The certificate reader with ``json.loads`` as its only parser, as an oracle."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"bad certificate JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("certificate must be a JSON object")

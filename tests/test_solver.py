@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -19,7 +20,7 @@ from irrstrength import (
 )
 from irrstrength import solver
 from irrstrength.books import irregular_strength, modular_strength
-from irrstrength.solver import _search_plan
+from irrstrength.solver import _search_plan, _twin_checks
 
 from conftest import random_solid_graph
 
@@ -37,6 +38,7 @@ class TestSolveBooks:
         result = solve(make_triangular_book(5), "ms")
         assert result.outcome == "finite"
         assert result.k == 4
+        assert result.nodes < 2_000
 
     def test_modular_agreement_skipping_infinite(self):
         for n in (1, 2, 3, 5, 6):
@@ -243,6 +245,71 @@ class TestSearchOrder:
         result = solve(make_triangular_book(13), "ms")
         assert result.outcome == "finite"
         assert result.k == 7
+        assert result.nodes < 50_000
+
+    def test_book_twenty_one_modular_solves(self):
+        result = solve(make_triangular_book(21), "ms")
+        assert result.outcome == "finite"
+        assert result.k == 11
+
+    def test_twin_transpositions(self):
+        # B_n, n >= 2: the n - 1 swaps of consecutive pages and a <-> b; B_1
+        # and K_4: the swaps of consecutive true twins; C_5 has no twins
+        graphs = [(make_triangular_book(n), n) for n in (2, 5, 9)]
+        graphs += [(make_triangular_book(1), 2), (Graph(4, list(itertools.combinations(range(4), 2))), 3)]
+        graphs += [(make_family("cycle", 5), 0)]
+        for g, count in graphs:
+            plan = _search_plan(g)
+            checks = _twin_checks(plan, g.order)
+            swaps = {cycles for twins in checks for cycles in twins}
+            assert len(swaps) == count
+            for cycles in swaps:
+                assert [p for p, _ in cycles] == sorted(p for p, _ in cycles)
+                assert all(p < q for p, q in cycles)
+                assert [q for q, twins in enumerate(checks) if cycles in twins] == sorted(q for _, q in cycles)
+
+
+def _is_valid(g, labels, mode: str) -> bool:
+    """Pure-Python check of a labeling in canonical edge order."""
+    weights = [0] * g.order
+    for (u, v), lab in zip(g.edge_tuples(), labels):
+        weights[u] += lab
+        weights[v] += lab
+    if mode == "s":
+        return len(set(weights)) == g.order
+    return len({w % g.order for w in weights}) == g.order
+
+
+class TestLexFirst:
+    def test_certificate_is_the_first_valid_labeling_in_plan_order(self):
+        # twin pruning must keep the first labeling of the unpruned DFS, on
+        # twin-rich graphs and on random ones
+        twin_rich = [
+            Graph(4, list(itertools.combinations(range(4), 2))),
+            Graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),
+            Graph(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)]),
+            make_family("star", 4),
+        ] + [make_triangular_book(n) for n in (2, 3, 4)]
+        rng = random.Random(1996)
+        checked = 0
+        for g in twin_rich + [random_solid_graph(rng, 3, 6) for _ in range(40)]:
+            for mode in ("s", "ms"):
+                result = solve(g, mode)
+                if result.outcome != "finite" or result.k ** g.size > 3**10:
+                    continue
+                k = result.k
+                steps = [e for e, _, _, _ in _search_plan(g)]
+                for labels in itertools.product(range(1, k + 1), repeat=g.size):
+                    canonical = [0] * g.size
+                    for e, lab in zip(steps, labels):
+                        canonical[e] = lab
+                    if _is_valid(g, canonical, mode):
+                        break
+                assert canonical == result.certificate.labeling.labels.tolist()
+                if k - 1 >= lower_bound_s(g):
+                    assert count_labelings(g, mode, k - 1) == 0
+                checked += 1
+        assert checked >= 50
 
 
 class TestDeterminism:
