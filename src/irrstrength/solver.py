@@ -9,12 +9,21 @@ is final, and its weight (residue, in modular mode) must differ from every
 other final vertex, otherwise the branch is cut. The first full assignment
 in search-order DFS is mapped back to canonical edge order and returned,
 so the minimal feasible k yields a deterministic certificate.
+The values closed vertices took are kept as one int bitmask. A vertex
+still open, with weight w and r unassigned edges, can end only in
+[w + r, w + r*k] (mod the order, in modular mode); after each label, the
+search cuts the branch if an endpoint of the labelled edge that is still
+open has every value of that run already taken (a reachable-value
+look-ahead, one shifted AND against the mask).
 Twins u, v, with N(u) - {v} = N(v) - {u} (equal open or closed
 neighbourhoods), give an automorphism (u v). For each two consecutive
 members of a twin class, search skips every label that would make the
 labels so far lex-greater, in plan order, than their image under (u v)
 (lex-leader symmetry breaking). That image is valid too, so the first
 solution in DFS order is never lex-greater: certificates stay the same.
+Neither cut removes a valid labeling, and k starts at the degree-range
+counting bound, below which none exists, so the certificate is the same
+as that of the plain DFS.
 ``count_labelings`` is an independent full-enumeration oracle with no
 pruning, no search order and no theory; it exists to cross-check the
 search. It checks every one of the k**size assignments in numpy batches:
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import has_small_component, lower_bound_s, modular_infinite
+from .bounds import _counting_bound, has_small_component, modular_infinite
 from .graphs import Graph, _integer
 from .labelings import (
     IRREGULAR,
@@ -160,54 +169,79 @@ def _least_label(twins, labels, i: int) -> int:
     return least
 
 
-def _search(plan, checks, order: int, k: int, modulus: int):
+def _open_ends(plan, order: int) -> list[tuple[tuple[int, int], ...]]:
+    """Per step of ``plan``, each endpoint still open after it, with its number
+    of unassigned edges."""
+    remaining = [0] * order
+    for _, u, v, _ in plan:
+        remaining[u] += 1
+        remaining[v] += 1
+    ends = []
+    for _, u, v, _ in plan:
+        remaining[u] -= 1
+        remaining[v] -= 1
+        ends.append(tuple((w, remaining[w]) for w in (u, v) if remaining[w]))
+    return ends
+
+
+def _search(plan, checks, ends, order: int, k: int, modulus: int):
     """Depth-first search over ``plan`` with labels in 1..k.
 
     Returns (canonical labels of the first solution or None, nodes). Step
     i starts at ``_least_label`` of ``checks[i]``. A closed vertex's weight,
     reduced mod ``modulus`` when nonzero, must differ from every other's.
+    The values taken so far are one int bitmask. An endpoint in ``ends[i]``
+    with weight w and r unassigned edges can still reach only [w + r, w + r*k]
+    (mod ``modulus``); a step that leaves every such value taken is cut.
     """
     size = len(plan)
     labels = [0] * size  # in plan order
     weights = [0] * order
-    finals: set[int] = set()
+    # runs[r]: the r*(k - 1) + 1 values a vertex with r open edges can reach, as
+    # a run of bits from bit 0; in modular mode at most all ``modulus`` residues,
+    # of which a vertex still open always leaves one free, so the check never cuts
+    reach = [r * (k - 1) + 1 for r in range(order)]
+    runs = [(1 << (min(n, modulus) if modulus else n)) - 1 for n in reach]
     nodes = 0
     sys.setrecursionlimit(max(sys.getrecursionlimit(), size + 100))
 
-    def descend(i: int) -> bool:
+    def descend(i: int, finals: int) -> bool:
         nonlocal nodes
         if i == size:
             return True
         _, u, v, closing = plan[i]
         twins = checks[i]
+        opened = ends[i]
         for lab in range(_least_label(twins, labels, i) if twins else 1, k + 1):
             nodes += 1
             labels[i] = lab
             weights[u] += lab
             weights[v] += lab
-            added = []
-            dead = False
+            taken = finals
             for w in closing:
-                val = weights[w] % modulus if modulus else weights[w]
-                if val in finals:
-                    dead = True
+                bit = 1 << (weights[w] % modulus if modulus else weights[w])
+                if taken & bit:
                     break
-                finals.add(val)
-                added.append(val)
-            if not dead and descend(i + 1):
-                return True
-            for val in added:
-                finals.remove(val)
+                taken |= bit
+            else:
+                # a run that wraps past the modulus is matched against the taken bits twice over
+                free = ~(taken | taken << modulus) if modulus else ~taken
+                for w, r in opened:
+                    low = weights[w] + r
+                    if not runs[r] << (low % modulus if modulus else low) & free:
+                        break
+                else:
+                    if descend(i + 1, taken):
+                        return True
             weights[u] -= lab
             weights[v] -= lab
         return False
 
-    if not descend(0):
+    if not descend(0, 0):
         return None, nodes
     # a solution returns before its labels are undone
-    canonical = [0] * size
-    for step, lab in zip(plan, labels):
-        canonical[step[0]] = lab
+    canonical = np.empty(size, dtype=np.int64)
+    canonical[[step[0] for step in plan]] = labels
     return canonical, nodes
 
 
@@ -235,17 +269,18 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
                 "modular strength undefined for graphs with a component of order <= 2"
             )
 
-    lb = lower_bound_s(g)
+    lb = _counting_bound(g)
     k_max = cfg.k_max if cfg.k_max is not None else 2 * g.order + 2
     if k_max < lb:
         raise ValueError(f"k_max={k_max} is below the lower bound {lb}")
 
     plan = _search_plan(g)
     checks = _twin_checks(plan, g.order)
+    ends = _open_ends(plan, g.order)
     modulus = g.order if mode == MODE_MS else 0
     nodes = 0
     for k in range(lb, k_max + 1):
-        best, searched = _search(plan, checks, g.order, k, modulus)
+        best, searched = _search(plan, checks, ends, g.order, k, modulus)
         nodes += searched
         if best is not None:
             cert = make_certificate(g, EdgeLabeling(best), MODULAR if mode == MODE_MS else IRREGULAR)

@@ -1,16 +1,46 @@
+import itertools
 import math
+import random
 
 import pytest
 
 from irrstrength import (
     Graph,
     bound_report,
+    count_labelings,
     lower_bound_s,
     make_family,
     make_triangular_book,
     modular_infinite,
+    solve,
 )
 from irrstrength.bounds import has_small_component
+
+from conftest import random_solid_graph
+
+
+def _pair_bound(g) -> int:
+    """ceil((n_i + ... + n_j + i - 1) / j) maximised over every pair of occurring degrees i <= j."""
+    deg = g.degrees().tolist()
+    best = 0
+    for i, j in itertools.combinations_with_replacement(sorted(set(deg)), 2):
+        n = sum(i <= d <= j for d in deg)
+        best = max(best, math.ceil((n + i - 1) / j))
+    return best
+
+
+def _single_degree_bound(g) -> int:
+    deg = g.degrees().tolist()
+    return max(math.ceil((deg.count(i) + i - 1) / i) for i in set(deg))
+
+
+def _solid_graphs(order: int):
+    """Every labelled graph on ``order`` vertices with no component of order <= 2."""
+    pairs = list(itertools.combinations(range(order), 2))
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        g = Graph(order, [e for e, c in zip(pairs, chosen) if c])
+        if not has_small_component(g):
+            yield g
 
 
 class TestSmallComponents:
@@ -46,6 +76,36 @@ class TestLowerBoundS:
     def test_star_bound(self):
         # m leaves of degree 1: ceil((m + 0) / 1) = m
         assert lower_bound_s(make_family("star", 6)) == 6
+
+    def test_equals_brute_force_over_degree_pairs(self):
+        rng = random.Random(11)
+        raised = 0
+        for _ in range(200):
+            g = random_solid_graph(rng, 3, 14, rng.choice((0.2, 0.4, 0.7)))
+            assert lower_bound_s(g) == _pair_bound(g)
+            raised += lower_bound_s(g) > _single_degree_bound(g)
+        assert raised > 0
+
+    @pytest.mark.parametrize("order", (3, 4, 5))
+    def test_sound_on_every_small_graph(self, order):
+        # the search starts at the bound, so the enumeration oracle checks the
+        # level below it independently
+        checked = 0
+        for g in _solid_graphs(order):
+            bound = lower_bound_s(g)
+            assert bound <= solve(g, "s").k
+            if bound > 1:
+                assert count_labelings(g, "s", bound - 1) == 0
+            checked += 1
+        assert checked == {3: 4, 4: 38, 5: 728}[order]  # the connected labelled graphs
+
+    def test_degree_range_beats_single_degrees(self):
+        # P_5 has degrees 1, 2, 2, 2, 1: each degree alone gives 2, both together 3
+        g = make_family("path", 5)
+        assert _single_degree_bound(g) == 2
+        assert lower_bound_s(g) == 3
+        rep = bound_report(g)
+        assert (rep.s_lower, rep.ms_lower, rep.ms_infinite) == (3, 3, False)
 
     def test_rejects_isolated_vertex(self):
         with pytest.raises(ValueError, match="component"):

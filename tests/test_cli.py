@@ -280,6 +280,17 @@ class TestSolveVerb:
         assert code == 2
         assert "below the lower bound" in err
 
+    def test_kmax_below_degree_range_bound_is_usage_error(self, capsys, tmp_path):
+        # P_5: degree 1 alone gives 2, degree 2 alone 2, degrees 1..2 together 3
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text(format_edge_list(make_family("path", 5)))
+        code, out, _ = invoke(capsys, "bound", "--graph", str(graph_file))
+        assert (code, out) == (0, "s_lower 3\nms_infinite false\nms_lower 3\n")
+        code, out, err = invoke(
+            capsys, "solve", "--graph", str(graph_file), "--mode", "s", "--kmax", "2"
+        )
+        assert (code, out, err) == (2, "", "error: k_max=2 is below the lower bound 3\n")
+
 
 class TestTableVerb:
     def test_formula_columns(self, capsys):

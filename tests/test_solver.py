@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -25,6 +26,12 @@ from irrstrength.solver import _search_plan, _twin_checks
 from conftest import random_solid_graph
 
 C3 = make_family("cycle", 3)
+
+
+def _pinned_corpus():
+    """The random corpus of tests/test_solve_pins.py."""
+    rng = random.Random(0)
+    return [random_solid_graph(rng, 8, 11, 0.3) for _ in range(20)]
 
 
 class TestSolveBooks:
@@ -251,6 +258,26 @@ class TestSearchOrder:
         result = solve(make_triangular_book(21), "ms")
         assert result.outcome == "finite"
         assert result.k == 11
+
+    @pytest.mark.parametrize("name, digest", [
+        ("books", "2aaea6dc0b7760207c308a520e06d67606b16c7ed606fa4ac8d55106117efa4b"),
+        ("random", "02322ea4dc51636866e663a50f3ad01fab59d263dd7bf2472ffe0fc1d52ad8ae"),
+    ])
+    def test_plans_are_pinned(self, name, digest):
+        # B_1..B_18 and the pinned random corpus; a rewrite of the planner must
+        # give the same plans
+        graphs = [make_triangular_book(n) for n in range(1, 19)] if name == "books" else _pinned_corpus()
+        text = repr([_search_plan(g) for g in graphs])
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+    def test_book_nineteen_modular_node_guard(self):
+        result = solve(make_triangular_book(19), "ms")
+        assert result.k == 10
+        assert result.nodes < 300_000
+
+    def test_random_corpus_node_guard(self):
+        graphs = _pinned_corpus()
+        assert sum(solve(g, mode).nodes for g in graphs for mode in ("s", "ms")) < 200_000
 
     def test_twin_transpositions(self):
         # B_n, n >= 2: the n - 1 swaps of consecutive pages and a <-> b; B_1
