@@ -13,11 +13,11 @@ Usage:
 """
 
 import argparse
+import sys
 import time
 
 from irrstrength import (
     count_labelings,
-    lower_bound_s,
     make_certificate,
     make_triangular_book,
     solve,
@@ -30,18 +30,7 @@ from irrstrength.books import (
     modular_strength,
     predicted_weights,
 )
-from irrstrength.cli import fmt_strength, table_rows
-
-
-def strength_table(table_to: int, solve_upto: int) -> None:
-    print(f"{'n':>5} {'bound':>6} {'s':>5} {'ms':>5} {'s_solved':>9} {'ms_solved':>10}")
-    for n, s_val, ms_val, s_solved, ms_solved in table_rows(1, table_to, solve_upto):
-        bound = lower_bound_s(make_triangular_book(n))
-        if n <= solve_upto:
-            assert s_solved == s_val, n
-            assert ms_solved == ms_val, n
-        s, ms, s_out, ms_out = map(fmt_strength, (s_val, ms_val, s_solved, ms_solved))
-        print(f"{n:>5} {bound:>6} {s:>5} {ms:>5} {s_out:>9} {ms_out:>10}")
+from irrstrength.cli import run
 
 
 def five_page_impossibility() -> None:
@@ -85,7 +74,10 @@ def main() -> None:
     parser.add_argument("--sweep-to", type=int, default=10000)
     args = parser.parse_args()
 
-    strength_table(args.table_to, args.solve_upto)
+    # the CLI's table, which exits 1 when a solved row differs from the closed form
+    code = run(["table", "--from", "1", "--to", str(args.table_to), "--solve-upto", str(args.solve_upto)])
+    if code:
+        sys.exit(code)
     five_page_impossibility()
     construction_sweep(args.sweep_to)
     print("\nall reproduction checks passed")

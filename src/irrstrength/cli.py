@@ -179,6 +179,9 @@ def _cmd_table(args) -> int:
     for n, *values in table_rows(args.start, args.stop, args.solve_upto):
         s_val, ms_val, s_solved, ms_solved = map(fmt_strength, values)
         print(f"{n:>6} {s_val:>6} {ms_val:>6} {s_solved:>9} {ms_solved:>10}")
+        if n <= args.solve_upto and values[:2] != values[2:]:
+            print(f"n={n}: solved s, ms = {s_solved}, {ms_solved} but closed form {s_val}, {ms_val}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -4,6 +4,10 @@ Vertices are 0..order-1. The edge list is stored as an (m, 2) int64 array
 with u < v per row, rows sorted lexicographically. Graphs are immutable
 after construction; the triangular book constructor pins a = 0, b = 1 and
 c_i = i + 1 so emitted certificates are comparable across runs.
+
+Edge-list text in ``format_edge_list``'s own layout is parsed as whole
+arrays; any other text is parsed line by line, which raises every error
+of the grammar, so both paths accept and reject alike.
 """
 
 from __future__ import annotations
@@ -168,80 +172,70 @@ def format_edge_list(g: Graph) -> str:
     return f"{g.order} {g.size}\n" + "%d %d\n" * g.size % tuple(g.edges.ravel().tolist())
 
 
-# ASCII bytes that str.split() treats as whitespace and str.splitlines() as breaks
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-_BREAK = np.zeros(256, dtype=bool)
-_BREAK[[10, 11, 12, 13, 28, 29, 30]] = True
-_EXACT_DIGITS = 18  # longer tokens might pass int64 and are read by int() instead
+_DIGITS = b"0123456789"
+_DIGITS_ONLY = bytes(c if c in _DIGITS else 32 for c in range(256))
+_POWERS = 10 ** np.arange(1, 18, dtype=np.int64)
+
+
+def _decimals(raw: bytes) -> np.ndarray | None:
+    """Each run of ASCII digits in ``raw`` as int64, or None if one has a leading zero or is 10^18 or more."""
+    values = np.fromstring(raw.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
+    # digits counted up to 18, so a leading zero or a value from 10^18 up (clipped to int64 or not) spells more
+    spelled = values.size + int(np.searchsorted(_POWERS, values, side="right").sum())
+    return values if len(raw) - len(raw.translate(None, _DIGITS)) == spelled else None
 
 
 def parse_edge_list(text: str) -> Graph:
     """``order m``, then exactly m non-blank ``u v`` lines; see the README for the grammar."""
-    # the tokeniser's temporaries are freed before Graph allocates, which keeps peak memory down
-    order, edges = _edge_list_values(text)
+    fields = _writer_fields(text)
+    order, edges = _edge_lines(text) if fields is None else fields
     try:
         return Graph(order, edges)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
-def _edge_list_values(text: str) -> tuple[int, np.ndarray]:
-    """The order and the (m, 2) endpoints, read as whole arrays; a suspect line is re-read alone."""
+def _writer_fields(text: str) -> tuple[int, np.ndarray] | None:
+    """The order and the (m, 2) endpoints, or None unless ``text`` is ``format_edge_list``'s layout with u < v."""
+    if not (text.isascii() and text.endswith("\n")):
+        return None
+    raw = text.encode("ascii")
+    values = _decimals(raw)
+    if values is None or values.size < 2 or values.size != 2 * int(values[1]) + 2:
+        return None
+    # with a break last, 2m + 2 values for 2m + 2 separators put one value before each
+    if raw.translate(None, _DIGITS) != b" \n" * (values.size // 2) or values[0] > ORDER_LIMIT:
+        return None
+    edges = values[2:].reshape(-1, 2)
+    return (int(values[0]), edges) if (edges[:, 0] < edges[:, 1]).all() else None
+
+
+def _edge_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The order and the endpoints, read line by line; raises every error of the grammar."""
     # int() would also take a sign, "1_0" and non-ASCII digits such as "١"
     if not text.isascii() or any(c in text for c in "+-_"):
         raise FormatError("edge-list numbers must be unsigned ASCII decimals")
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    space, brk = _SPACE[raw], _BREAK[raw]
-    # token i is raw[starts[i]:ends[i]]
-    starts, ends = np.flatnonzero(np.diff(space, prepend=True, append=True)).reshape(-1, 2).T
-    if not starts.size:
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
         raise FormatError("empty edge-list input")
-    breaks = np.flatnonzero(np.concatenate(([True], brk, [True]))) - 1  # from -1 to len(text)
-
-    def line_at(pos) -> str:
-        k = np.searchsorted(breaks, pos)
-        return text[breaks[k - 1] + 1 : breaks[k]]
-
-    head = line_at(starts[0])
-    parts = head.split()
-    if len(parts) != 2:
+    head = lines[0].split()
+    if len(head) != 2:
         raise FormatError("first line must be 'order m'")
     try:
-        order, m = int(parts[0]), int(parts[1])
+        order, m = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise FormatError(f"bad header {head!r}") from exc
+        raise FormatError(f"bad header {lines[0]!r}") from exc
     if order > ORDER_LIMIT:
         raise FormatError(f"order {order} exceeds supported limit {ORDER_LIMIT}")
-    # a line starts at each token with a break between it and the token before
-    first = np.flatnonzero(np.logical_or.reduceat(brk[: ends[-1]], ends[:-1])) + 1
-    if first.size != m:
-        raise FormatError(f"expected {m} edge lines, found {first.size}")
-    # place value over each token's last _EXACT_DIGITS digits
-    length = ends - starts
-    digit = raw - 48
-    value = np.zeros(starts.size, dtype=np.int64)
-    for j in range(min(int(length.max()), _EXACT_DIGITS)):
-        d = digit[ends - 1 - j]  # past a token's start (or wrapped below 0) once it is used up
-        d[length <= j] = 0
-        value += d * np.int64(10**j)
-    second = np.minimum(first + 1, starts.size - 1)
-    bad = (np.diff(first, append=starts.size) != 2) | (value[first] >= value[second])
-    # a line with a stray byte (neither digit nor whitespace) or a long token goes to int()
-    stray = np.flatnonzero((digit > 9) & ~space)
-    odd = np.union1d(np.flatnonzero(length > _EXACT_DIGITS), np.searchsorted(starts, stray, side="right") - 1)
-    bad[np.searchsorted(first, odd[odd >= 2], side="right") - 1] = True
-    for i in np.flatnonzero(bad).tolist():
-        line = line_at(starts[first[i]])
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {line!r}")
+    if len(lines) - 1 != m:
+        raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
+    edges = []
+    for line in lines[1:]:
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, line.split())  # a count other than two is a ValueError too
         except ValueError as exc:
             raise FormatError(f"bad edge line {line!r}") from exc
         if not u < v:
             raise FormatError(f"edge line {line!r} must satisfy u < v")
-        # any value from order up is out of range alike, and clamped it fits int64
-        value[first[i]], value[first[i] + 1] = min(u, order), min(v, order)
-    return order, value[2:].reshape(-1, 2)
+        edges.append((u, v))
+    return order, edges

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ORDER_LIMIT, FormatError, Graph, _integer_array
+from .graphs import _DIGITS, ORDER_LIMIT, FormatError, Graph, _decimals, _integer_array
 
 LABEL_LIMIT = 10**6
 
@@ -187,11 +187,8 @@ def certificate_to_json(cert: Certificate) -> str:
     return text + json.dumps(cert.mode) + "}"
 
 
-_DIGITS = b"0123456789"
-_DIGITS_ONLY = bytes(c if c in _DIGITS else 32 for c in range(256))
 # 1: may open a number's slot, 2: may close one, 3: both
 _SLOT_SIDES = bytes({ord(":"): 1, ord("["): 1, ord(","): 3, ord("]"): 2}.get(c, 0) for c in range(256))
-_POWERS = 10 ** np.arange(1, 18, dtype=np.int64)
 _MODE_ENDS = {b'"%s"}' % mode.encode(): mode for mode in (IRREGULAR, MODULAR)}
 
 
@@ -209,8 +206,10 @@ def _writer_doc(text: str) -> dict | None:
     if (sides[:-1] & (sides[1:] >> 1)).any():  # an empty slot, so values could sit outside the slots
         return None
     # with every slot filled, a value count that matches the layout puts one value in each slot
-    values = np.fromstring(raw.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
-    order = int(values[0]) if values.size else 0
+    values = _decimals(raw)
+    if values is None or not values.size:
+        return None
+    order = int(values[0])
     m, rest = divmod(values.size - 2 - 2 * order, 3)
     if m < 1 or order < 1 or rest:
         return None
@@ -218,9 +217,6 @@ def _writer_doc(text: str) -> dict | None:
     head = "".join(_layout(m, order, "")).encode("ascii")
     mode = _MODE_ENDS.get(layout[len(head) :])
     if mode is None or not layout.startswith(head):
-        return None
-    # digits counted up to 18, so a leading zero or a value from 10^18 up (clipped to int64 or not) spells more
-    if len(raw) - len(layout) != values.size + int(np.searchsorted(_POWERS, values, side="right").sum()):
         return None
     edges, labels, weights, residues, k = np.split(values[1:], np.cumsum([2 * m, m, order, order]))
     return {

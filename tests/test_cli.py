@@ -314,6 +314,14 @@ class TestTableVerb:
         code, _, err = invoke(capsys, "table", "--from", "5", "--to", "3")
         assert code == 2
 
+    def test_solved_row_off_the_closed_form_exits_one(self, capsys, monkeypatch):
+        closed_form = irrstrength.books.modular_strength
+        monkeypatch.setattr(irrstrength.books, "modular_strength", lambda n: 4 if n == 3 else closed_form(n))
+        code, out, err = invoke(capsys, "table", "--from", "1", "--to", "6", "--solve-upto", "6")
+        assert code == 1
+        assert out.splitlines()[-1].split() == ["3", "2", "4", "2", "2"]
+        assert err == "n=3: solved s, ms = 2, 2 but closed form 2, 4\n"
+
 
 class TestExportVerb:
     def test_dot_output(self, capsys, tmp_path):

@@ -11,7 +11,9 @@ from irrstrength import (
     make_triangular_book,
     parse_edge_list,
 )
+from irrstrength import graphs
 from irrstrength.graphs import _integer_array
+from test_codec_pins import FAMILIES
 
 
 class TestGraphConstruction:
@@ -292,3 +294,32 @@ class TestParserAgainstReference:
             assert str(got.value) == str(exc)
             return
         assert parse_edge_list(text) == want
+
+    # an empty slot with a value after the last break: the digit-free bytes
+    # alone match the writer's layout, so these must take the line path
+    @pytest.mark.parametrize("text", ["4 2\n0 1\n 2\n3", "3 1\n 1\n2", "3 2\n0 1\n 2\n5"])
+    def test_empty_slots(self, text):
+        self.check(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_writer_output_one_byte_off(self, data):
+        order = data.draw(st.integers(1, 12))
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, order - 1), st.integers(0, order - 1))))
+        text = format_edge_list(Graph(order, sorted((u, v) for u, v in pairs if u < v)))
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = data.draw(st.integers(0, len(text) - (op != "insert")))
+        byte = "" if op == "delete" else data.draw(st.sampled_from("0123456789 \n\r\t"))
+        self.check(text[:at] + byte + text[at + (op != "insert") :])
+
+
+class TestWriterLayoutPath:
+    """``format_edge_list`` output never reaches the line-by-line reader."""
+
+    def test_writer_output_is_read_as_arrays(self, monkeypatch):
+        def line_path(text):
+            raise AssertionError(f"line path taken for {text[:20]!r}")
+
+        monkeypatch.setattr(graphs, "_edge_lines", line_path)
+        for g in [make_triangular_book(n) for n in range(1, 301)] + [make_family(*f) for f in FAMILIES]:
+            assert parse_edge_list(format_edge_list(g)) == g
