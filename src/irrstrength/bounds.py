@@ -39,10 +39,9 @@ def has_small_component(g: Graph) -> bool:
     deg = g.degrees()
     if g.order == 0:
         return False
-    if (deg == 0).any():
-        return True
-    if g.size == 0:
-        return False
+    least = deg.min()
+    if least != 1:  # an isolated vertex, or no vertex that could end a lone edge
+        return bool(least == 0)
     u = g.edges[:, 0]
     v = g.edges[:, 1]
     return bool(((deg[u] == 1) & (deg[v] == 1)).any())

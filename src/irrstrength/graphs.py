@@ -1,9 +1,10 @@
 """Simple undirected graphs with a canonical edge list.
 
 Vertices are 0..order-1. The edge list is stored as an (m, 2) int64 array
-with u < v per row, rows sorted lexicographically. Graphs are immutable
-after construction; the triangular book constructor pins a = 0, b = 1 and
-c_i = i + 1 so emitted certificates are comparable across runs.
+with u < v per row, rows sorted lexicographically, so the edges from each
+vertex up to higher ones are one run of consecutive rows. Graphs are
+immutable after construction; the triangular book constructor pins a = 0,
+b = 1 and c_i = i + 1 so emitted certificates are comparable across runs.
 
 Edge-list text in ``format_edge_list``'s own layout is parsed as whole
 arrays; any other text is parsed line by line, which raises every error
@@ -26,7 +27,7 @@ class FormatError(ValueError):
 class Graph:
     """Immutable simple graph: vertex count plus canonical sorted edge list."""
 
-    __slots__ = ("order", "_edges", "_degrees")
+    __slots__ = ("order", "_edges", "_degrees", "_runs")
 
     def __init__(self, order: int, edges) -> None:
         order = _integer(order, "order", 0)
@@ -50,6 +51,7 @@ class Graph:
         self.order = order
         self._edges = arr
         self._degrees = None
+        self._runs = None
 
     @classmethod
     def _from_canonical(cls, order: int, arr: np.ndarray) -> "Graph":
@@ -59,6 +61,7 @@ class Graph:
         g.order = order
         g._edges = arr
         g._degrees = None
+        g._runs = None
         return g
 
     @property
@@ -72,10 +75,25 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         if self._degrees is None:
-            deg = np.bincount(self._edges.ravel(), minlength=self.order).astype(np.int64)
+            heads, bounds = self._up_runs()
+            deg = np.bincount(self._edges[:, 1], minlength=self.order).astype(np.int64, copy=False)
+            deg[heads] += bounds[1:] - bounds[:-1]
             deg.setflags(write=False)
             self._degrees = deg
         return self._degrees
+
+    def _up_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(heads, bounds)``: the u each run of rows shares, and the first row of each run, then m."""
+        # a sum per run, added at its head, spares a scatter over u its repeated increments at a hub of a book
+        if self._runs is None:
+            u = self._edges[:, 0]
+            m = u.size
+            new = np.empty(m + 1, dtype=bool)
+            new[0] = new[m] = True
+            np.not_equal(u[1:], u[:-1], out=new[1:m])
+            bounds = np.flatnonzero(new)
+            self._runs = (u[bounds[:-1]], bounds)
+        return self._runs
 
     def edge_tuples(self) -> list[tuple[int, int]]:
         return list(zip(*self._edges.T.tolist()))
@@ -177,12 +195,12 @@ _DIGITS_ONLY = bytes(c if c in _DIGITS else 32 for c in range(256))
 _POWERS = 10 ** np.arange(1, 18, dtype=np.int64)
 
 
-def _decimals(raw: bytes) -> np.ndarray | None:
-    """Each run of ASCII digits in ``raw`` as int64, or None if one has a leading zero or is 10^18 or more."""
+def _decimals(raw: bytes, layout: bytes) -> np.ndarray | None:
+    """Each run of ASCII digits in ``raw`` (``layout`` without them) as int64, or None on a leading zero or 10^18 up."""
     values = np.fromstring(raw.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
     # digits counted up to 18, so a leading zero or a value from 10^18 up (clipped to int64 or not) spells more
     spelled = values.size + int(np.searchsorted(_POWERS, values, side="right").sum())
-    return values if len(raw) - len(raw.translate(None, _DIGITS)) == spelled else None
+    return values if len(raw) - len(layout) == spelled else None
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -200,11 +218,12 @@ def _writer_fields(text: str) -> tuple[int, np.ndarray] | None:
     if not (text.isascii() and text.endswith("\n")):
         return None
     raw = text.encode("ascii")
-    values = _decimals(raw)
+    layout = raw.translate(None, _DIGITS)
+    values = _decimals(raw, layout)
     if values is None or values.size < 2 or values.size != 2 * int(values[1]) + 2:
         return None
     # with a break last, 2m + 2 values for 2m + 2 separators put one value before each
-    if raw.translate(None, _DIGITS) != b" \n" * (values.size // 2) or values[0] > ORDER_LIMIT:
+    if layout != b" \n" * (values.size // 2) or values[0] > ORDER_LIMIT:
         return None
     edges = values[2:].reshape(-1, 2)
     return (int(values[0]), edges) if (edges[:, 0] < edges[:, 1]).all() else None

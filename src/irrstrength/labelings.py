@@ -4,8 +4,10 @@ The weight of a vertex is the sum of the labels on its incident edges.
 An irregular assignment makes all vertex weights distinct; a modular
 irregular labeling makes the weights, reduced modulo the order, hit every
 residue exactly once. Weights stay well inside int64 for the supported
-input limits (order <= 1e6, labels <= 1e6), which also keeps the float64
-accumulation in ``np.bincount`` exact.
+input limits (order <= 1e6, labels <= 1e6): at most 1e12 < 2^53, which
+also keeps exact the float64 sums that ``np.bincount`` makes over the
+higher endpoints. The sums over the lower endpoints are taken in int64,
+one per run of edges sharing that endpoint.
 """
 
 from __future__ import annotations
@@ -104,14 +106,15 @@ class Certificate:
 
 
 def vertex_weights(g: Graph, f: EdgeLabeling) -> WeightProfile:
-    """Exact integer vertex weights and residues mod the order."""
+    """Exact integer vertex weights and residues mod the order.
+
+    A scatter over the higher endpoints, exact in float64, plus one int64 sum per run of edges up, at its head.
+    """
     if len(f) != g.size:
         raise ValueError(f"labeling covers {len(f)} edges, graph has {g.size}")
-    u = g.edges[:, 0]
-    v = g.edges[:, 1]
-    w = np.bincount(u, weights=f.labels, minlength=g.order)
-    w += np.bincount(v, weights=f.labels, minlength=g.order)
-    weights = w.astype(np.int64)
+    heads, bounds = g._up_runs()
+    weights = np.bincount(g.edges[:, 1], weights=f.labels, minlength=g.order).astype(np.int64)
+    weights[heads] += np.add.reduceat(f.labels, bounds[:-1])
     residues = weights % g.order
     weights.setflags(write=False)
     residues.setflags(write=False)
@@ -206,14 +209,14 @@ def _writer_doc(text: str) -> dict | None:
     if (sides[:-1] & (sides[1:] >> 1)).any():  # an empty slot, so values could sit outside the slots
         return None
     # with every slot filled, a value count that matches the layout puts one value in each slot
-    values = _decimals(raw)
+    layout = raw.translate(None, _DIGITS)
+    values = _decimals(raw, layout)
     if values is None or not values.size:
         return None
     order = int(values[0])
     m, rest = divmod(values.size - 2 - 2 * order, 3)
     if m < 1 or order < 1 or rest:
         return None
-    layout = raw.translate(None, _DIGITS)
     head = "".join(_layout(m, order, "")).encode("ascii")
     mode = _MODE_ENDS.get(layout[len(head) :])
     if mode is None or not layout.startswith(head):

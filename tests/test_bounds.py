@@ -51,6 +51,12 @@ class TestSmallComponents:
         g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
         assert has_small_component(g)
 
+    def test_leaves_without_a_lone_edge(self):
+        assert not has_small_component(make_family("path", 4))
+
+    def test_cycles_are_solid(self):
+        assert not has_small_component(make_family("cycle", 5))
+
     def test_books_are_solid(self):
         assert not has_small_component(make_triangular_book(3))
 

@@ -77,6 +77,12 @@ class TestGraphConstruction:
         assert g.size == 0
         assert g.degrees().tolist() == []
 
+    def test_edgeless_degrees(self):
+        assert Graph(5, []).degrees().tolist() == [0] * 5
+
+    def test_single_edge_degrees(self):
+        assert Graph(4, [(1, 3)]).degrees().tolist() == [0, 1, 0, 1]
+
     def test_equality_and_hash(self):
         a = Graph(4, [(0, 1), (2, 3)])
         b = Graph(4, [(2, 3), (0, 1)])

@@ -23,7 +23,7 @@ from irrstrength import (
 )
 from irrstrength.books import irregular_labeling
 from irrstrength.graphs import ORDER_LIMIT, _integer_array
-from irrstrength.labelings import Certificate
+from irrstrength.labelings import LABEL_LIMIT, Certificate
 
 C3 = make_family("cycle", 3)
 
@@ -78,6 +78,15 @@ class TestVertexWeights:
         g = make_triangular_book(2)
         prof = vertex_weights(g, irregular_labeling(2))
         assert prof.weights.tolist() == [4, 5, 2, 3]
+
+    def test_single_edge(self):
+        assert vertex_weights(Graph(4, [(1, 3)]), EdgeLabeling([7])).weights.tolist() == [0, 7, 0, 7]
+
+    def test_star_hub_sum_is_exact_int64(self):
+        weights = vertex_weights(make_family("star", 2000), EdgeLabeling([LABEL_LIMIT] * 2000)).weights
+        assert weights.dtype == np.int64 and not weights.flags.writeable
+        assert int(weights[0]) == 2 * 10**9
+        assert weights[1:].tolist() == [LABEL_LIMIT] * 2000
 
     def test_rejects_misaligned_labeling(self):
         with pytest.raises(ValueError, match="covers"):

@@ -30,6 +30,7 @@ from irrstrength.books import (
     predicted_weights,
 )
 from irrstrength.bounds import has_small_component, lower_bound_s
+from irrstrength.labelings import LABEL_LIMIT
 
 
 @st.composite
@@ -45,6 +46,16 @@ def labeled_instances(draw, max_label=6, **kw):
     g = draw(graphs(**kw))
     labels = draw(st.lists(st.integers(1, max_label), min_size=g.size, max_size=g.size))
     return g, EdgeLabeling(labels)
+
+
+@st.composite
+def gappy_instances(draw):
+    """Up to 12 vertices and few edges, so some vertices are isolated and some have no higher neighbour."""
+    order = draw(st.integers(1, 12))
+    pairs = list(combinations(range(order), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=order))) if pairs else []
+    labels = draw(st.lists(st.integers(1, LABEL_LIMIT), min_size=len(edges), max_size=len(edges)))
+    return Graph(order, edges), labels
 
 
 @st.composite
@@ -79,6 +90,20 @@ class TestWeightProperties:
             expected[u] += lab
             expected[v] += lab
         assert prof.weights.tolist() == expected
+
+    @given(gappy_instances())
+    @example((Graph(7, [(0, 3), (3, 5), (3, 6)]), [7, LABEL_LIMIT, 1]))
+    def test_degrees_and_weights_match_per_edge_sums(self, inst):
+        g, labels = inst
+        degrees = [0] * g.order
+        weights = [0] * g.order
+        for (u, v), lab in zip(g.edge_tuples(), labels):
+            for x in (u, v):
+                degrees[x] += 1
+                weights[x] += lab
+        assert g.degrees().tolist() == degrees
+        if labels:
+            assert vertex_weights(g, EdgeLabeling(labels)).weights.tolist() == weights
 
     @given(labeled_instances())
     def test_residues_are_weights_mod_order(self, inst):
