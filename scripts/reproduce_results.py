@@ -55,8 +55,9 @@ def construction_sweep(sweep_to: int) -> None:
         assert verify_profile(cert.profile, "irregular").ok, n
         assert cert.labeling.k == irregular_strength(n), n
         assert cert.profile == predicted_weights(n, theorem=1), n
-        if n % 4 != 0:
-            cert = make_certificate(g, modular_labeling(n), "modular")
+        labeling = modular_labeling(n)
+        if labeling is not None:
+            cert = make_certificate(g, labeling, "modular")
             assert verify_profile(cert.profile, "modular").ok, n
             assert cert.labeling.k == modular_strength(n), n
             assert cert.profile == predicted_weights(n, theorem=2), n

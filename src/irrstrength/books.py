@@ -166,7 +166,5 @@ def predicted_weights(n: int, theorem: int = 2) -> WeightProfile:
     head = np.array(case.weights, dtype=np.int64)
     # vertex j >= 2 is page c_{j-1}, of weight j; the triangle lists all three
     weights = np.concatenate([head, np.arange(head.size, n + 2, dtype=np.int64)])
-    residues = weights % (n + 2)
     weights.setflags(write=False)
-    residues.setflags(write=False)
-    return WeightProfile(weights=weights, residues=residues)
+    return WeightProfile(weights=weights)

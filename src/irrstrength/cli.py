@@ -74,7 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:  # a ValueError, which would exit 2 as a usage error
+            raise FormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -3,11 +3,12 @@
 The weight of a vertex is the sum of the labels on its incident edges.
 An irregular assignment makes all vertex weights distinct; a modular
 irregular labeling makes the weights, reduced modulo the order, hit every
-residue exactly once. Weights stay well inside int64 for the supported
-input limits (order <= 1e6, labels <= 1e6): at most 1e12 < 2^53, which
-also keeps exact the float64 sums that ``np.bincount`` makes over the
-higher endpoints. The sums over the lower endpoints are taken in int64,
-one per run of edges sharing that endpoint.
+residue exactly once. A ``WeightProfile`` stores the weights alone and
+derives the residues from them. Weights stay well inside int64 for the
+supported input limits (order <= 1e6, labels <= 1e6): at most 1e12 <
+2^53, which also keeps exact the float64 sums that ``np.bincount`` makes
+over the higher endpoints. The sums over the lower endpoints are taken in
+int64, one per run of edges sharing that endpoint.
 """
 
 from __future__ import annotations
@@ -60,17 +61,20 @@ class EdgeLabeling:
 
 @dataclass(eq=False, frozen=True)
 class WeightProfile:
-    """Per-vertex weights and their residues modulo the graph order."""
+    """Per-vertex weights; ``residues``, the weights mod the order, is derived from them on each access."""
 
     weights: np.ndarray
-    residues: np.ndarray
+
+    @property
+    def residues(self) -> np.ndarray:
+        residues = self.weights % self.weights.size
+        residues.setflags(write=False)
+        return residues
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightProfile):
             return NotImplemented
-        return np.array_equal(self.weights, other.weights) and np.array_equal(
-            self.residues, other.residues
-        )
+        return np.array_equal(self.weights, other.weights)
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ class Certificate:
 
 
 def vertex_weights(g: Graph, f: EdgeLabeling) -> WeightProfile:
-    """Exact integer vertex weights and residues mod the order.
+    """Exact integer vertex weights.
 
     A scatter over the higher endpoints, exact in float64, plus one int64 sum per run of edges up, at its head.
     """
@@ -115,10 +119,8 @@ def vertex_weights(g: Graph, f: EdgeLabeling) -> WeightProfile:
     heads, bounds = g._up_runs()
     weights = np.bincount(g.edges[:, 1], weights=f.labels, minlength=g.order).astype(np.int64)
     weights[heads] += np.add.reduceat(f.labels, bounds[:-1])
-    residues = weights % g.order
     weights.setflags(write=False)
-    residues.setflags(write=False)
-    return WeightProfile(weights=weights, residues=residues)
+    return WeightProfile(weights=weights)
 
 
 def _first_collision(values: np.ndarray) -> tuple[int, int]:
@@ -233,17 +235,17 @@ def _writer_doc(text: str) -> dict | None:
     }
 
 
-def _json_ints(doc: dict, field: str, scan_bools: bool) -> np.ndarray:
+def _json_ints(doc: dict, field: str) -> np.ndarray:
     """``doc[field]``, a JSON integer or nested lists of them, as an int64 array.
 
-    ``_integer_array`` judges the field itself when ``scan_bools`` is true,
-    else numpy's conversion of it, which for integers alone passes at no
-    cost. Anything but integers within int64 is a FormatError.
+    ``_integer_array`` judges the parsed value itself, so a JSON boolean
+    never passes as 0 or 1. Anything but integers within int64 is a
+    FormatError.
     """
     value = doc[field]
     try:
         arr = np.asarray(value)
-        _integer_array(value if scan_bools else arr, field)
+        _integer_array(value, field)
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{field}: {exc}") from exc
     if arr.size and arr.dtype.kind != "i":
@@ -251,14 +253,13 @@ def _json_ints(doc: dict, field: str, scan_bools: bool) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def certificate_from_json(text: str) -> Certificate:
+def certificate_from_json(text: str | bytes) -> Certificate:
     """Parse and fully re-validate a certificate document.
 
     Enforces the input limits and recomputes the weight profile from the
     graph and labels; any mismatch with the stored arrays is rejected.
     """
     doc = _writer_doc(text)
-    scan_bools = False
     if doc is None:
         # ValueError covers JSONDecodeError and a number past Python's integer
         # digit limit; RecursionError, nesting past the recursion limit
@@ -266,8 +267,6 @@ def certificate_from_json(text: str) -> Certificate:
             doc = json.loads(text)
         except (ValueError, RecursionError) as exc:
             raise FormatError(f"bad certificate JSON: {exc}") from exc
-        # a JSON boolean is spelled out in the text; without one, none can be inside
-        scan_bools = "true" in text or "false" in text
     if not isinstance(doc, dict):
         raise FormatError("certificate must be a JSON object")
     missing = {"order", "edges", "labels", "weights", "residues", "k", "mode"} - doc.keys()
@@ -275,25 +274,25 @@ def certificate_from_json(text: str) -> Certificate:
         raise FormatError(f"certificate missing fields: {sorted(missing)}")
     if doc["mode"] not in (IRREGULAR, MODULAR):
         raise FormatError(f"unknown certificate mode {doc['mode']!r}")
-    order = _json_ints(doc, "order", scan_bools)
+    order = _json_ints(doc, "order")
     if order.ndim or order > ORDER_LIMIT:
         raise FormatError("certificate order missing or out of range")
-    edges = _json_ints(doc, "edges", scan_bools)
-    labels = _json_ints(doc, "labels", scan_bools)
+    edges = _json_ints(doc, "edges")
+    labels = _json_ints(doc, "labels")
     try:
         graph = Graph(int(order), edges)
         labeling = EdgeLabeling(labels)
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(str(exc)) from exc
-    k = _json_ints(doc, "k", scan_bools)
+    k = _json_ints(doc, "k")
     if k.ndim or labeling.k != k:
         raise FormatError(f"stored k={doc['k']} but max label is {labeling.k}")
     if len(labeling) != graph.size:
         raise FormatError("labels not aligned with edge list")
     profile = vertex_weights(graph, labeling)
-    if not np.array_equal(profile.weights, _json_ints(doc, "weights", scan_bools)):
+    if not np.array_equal(profile.weights, _json_ints(doc, "weights")):
         raise FormatError("stored weights do not match recomputation")
-    if not np.array_equal(profile.residues, _json_ints(doc, "residues", scan_bools)):
+    if not np.array_equal(profile.residues, _json_ints(doc, "residues")):
         raise FormatError("stored residues do not match recomputation")
     return Certificate(graph=graph, labeling=labeling, profile=profile, mode=doc["mode"])
 

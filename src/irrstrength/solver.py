@@ -3,18 +3,20 @@
 Search runs iterative deepening on the max label k, starting from the
 counting lower bound. Each ``solve`` call builds one search plan and
 reuses it at every k: a greedy edge order that always takes next the edge
-closing the most vertices, so that vertices become final early, with the
-vertices each edge closes. A vertex whose incident edges are all assigned
-is final, and its weight (residue, in modular mode) must differ from every
-other final vertex, otherwise the branch is cut. The first full assignment
-in search-order DFS is mapped back to canonical edge order and returned,
-so the minimal feasible k yields a deterministic certificate.
+closing the most vertices, so that vertices become final early. A step is
+(e, u, v, closing, opened): the edge, its endpoints, those it closes, and
+those it leaves open, with their counts of unassigned edges. A vertex
+whose incident edges are all assigned is final, and its weight (residue,
+in modular mode) must differ from every other final vertex, otherwise the
+branch is cut. The first full assignment in search-order DFS is mapped
+back to canonical edge order and returned, so the minimal feasible k
+yields a deterministic certificate.
 The values closed vertices took are kept as one int bitmask. A vertex
 still open, with weight w and r unassigned edges, can end only in
 [w + r, w + r*k] (mod the order, in modular mode); after each label, the
 search cuts the branch if an endpoint of the labelled edge that is still
 open has every value of that run already taken (a reachable-value
-look-ahead, one shifted AND against the mask).
+look-ahead over the step's ``opened``, one shifted AND against the mask).
 Twins u, v, with N(u) - {v} = N(v) - {u} (equal open or closed
 neighbourhoods), give an automorphism (u v). For each two consecutive
 members of a twin class, search skips every label that would make the
@@ -96,20 +98,17 @@ class StrengthResult:
         return text
 
 
-def _search_plan(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
+def _search_plan(g: Graph) -> list[tuple]:
     """One step per edge, in the order the search assigns them.
 
-    A step is (canonical edge index, u, v, vertices this edge closes); a
-    vertex is closed by the step that assigns its last unassigned edge.
-    Each step takes the unassigned edge that closes the most vertices; ties
-    go to the smallest sum of the endpoints' unassigned degrees, then to
-    the lowest index.
+    A step is (canonical edge index, u, v, closing, opened): the endpoints
+    whose last unassigned edge this is, and each other endpoint as (vertex,
+    number of unassigned edges). Each step takes the unassigned edge that
+    closes the most vertices; ties go to the smallest sum of the
+    endpoints' unassigned degrees, then to the lowest index.
     """
     ends = g.edge_tuples()
-    remaining = [0] * g.order
-    for u, v in ends:
-        remaining[u] += 1
-        remaining[v] += 1
+    remaining = g.degrees().tolist()
 
     def rank(e: int) -> tuple[int, int, int]:
         u, v = ends[e]
@@ -124,7 +123,8 @@ def _search_plan(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
         u, v = ends[e]
         remaining[u] -= 1
         remaining[v] -= 1
-        plan.append((e, u, v, tuple(w for w in (u, v) if remaining[w] == 0)))
+        closing = tuple(w for w in (u, v) if not remaining[w])
+        plan.append((e, u, v, closing, tuple((w, remaining[w]) for w in (u, v) if remaining[w])))
     return plan
 
 
@@ -133,7 +133,7 @@ def _twin_checks(plan, order: int) -> list[tuple]:
     each as all its cycles of steps, p < q in each, sorted by p."""
     at = [{} for _ in range(order)]  # at[u][w]: the step of edge {u, w}
     masks = [0] * order
-    for i, (_, u, v, _) in enumerate(plan):
+    for i, (_, u, v, _, _) in enumerate(plan):
         at[u][v] = at[v][u] = i
         masks[u] |= 1 << v
         masks[v] |= 1 << u
@@ -169,29 +169,14 @@ def _least_label(twins, labels, i: int) -> int:
     return least
 
 
-def _open_ends(plan, order: int) -> list[tuple[tuple[int, int], ...]]:
-    """Per step of ``plan``, each endpoint still open after it, with its number
-    of unassigned edges."""
-    remaining = [0] * order
-    for _, u, v, _ in plan:
-        remaining[u] += 1
-        remaining[v] += 1
-    ends = []
-    for _, u, v, _ in plan:
-        remaining[u] -= 1
-        remaining[v] -= 1
-        ends.append(tuple((w, remaining[w]) for w in (u, v) if remaining[w]))
-    return ends
-
-
-def _search(plan, checks, ends, order: int, k: int, modulus: int):
+def _search(plan, checks, order: int, k: int, modulus: int):
     """Depth-first search over ``plan`` with labels in 1..k.
 
     Returns (canonical labels of the first solution or None, nodes). Step
     i starts at ``_least_label`` of ``checks[i]``. A closed vertex's weight,
     reduced mod ``modulus`` when nonzero, must differ from every other's.
-    The values taken so far are one int bitmask. An endpoint in ``ends[i]``
-    with weight w and r unassigned edges can still reach only [w + r, w + r*k]
+    The values taken so far are one int bitmask. An endpoint in step i's
+    ``opened`` with weight w and r unassigned edges can still reach only [w + r, w + r*k]
     (mod ``modulus``); a step that leaves every such value taken is cut.
     """
     size = len(plan)
@@ -209,9 +194,8 @@ def _search(plan, checks, ends, order: int, k: int, modulus: int):
         nonlocal nodes
         if i == size:
             return True
-        _, u, v, closing = plan[i]
+        _, u, v, closing, opened = plan[i]
         twins = checks[i]
-        opened = ends[i]
         for lab in range(_least_label(twins, labels, i) if twins else 1, k + 1):
             nodes += 1
             labels[i] = lab
@@ -276,11 +260,10 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
 
     plan = _search_plan(g)
     checks = _twin_checks(plan, g.order)
-    ends = _open_ends(plan, g.order)
     modulus = g.order if mode == MODE_MS else 0
     nodes = 0
     for k in range(lb, k_max + 1):
-        best, searched = _search(plan, checks, ends, g.order, k, modulus)
+        best, searched = _search(plan, checks, g.order, k, modulus)
         nodes += searched
         if best is not None:
             cert = make_certificate(g, EdgeLabeling(best), MODULAR if mode == MODE_MS else IRREGULAR)

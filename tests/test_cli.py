@@ -251,6 +251,26 @@ class TestBoundVerb:
         assert err.startswith("error:")
 
 
+class TestNonUtf8Input:
+    """A file that is not UTF-8 is a format error on every verb that reads one."""
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["bound", "--graph", "G"], "G"),
+        (["solve", "--graph", "G", "--mode", "s"], "G"),
+        (["verify", "--graph", "G", "--cert", "C", "--mode", "modular"], "G"),
+        (["verify", "--graph", "G", "--cert", "C", "--mode", "modular"], "C"),
+        (["export", "--cert", "C", "--format", "dot"], "C"),
+    ], ids=["bound-graph", "solve-graph", "verify-graph", "verify-cert", "export-cert"])
+    def test_exits_three(self, capsys, tmp_path, argv, bad):
+        files = {"G": tmp_path / "g.txt", "C": tmp_path / "c.json"}
+        files["G"].write_text(B3_EDGES)
+        files["C"].write_text(B3_CERT)
+        files[bad].write_bytes(b"\xff3 1\n0 1\n")
+        code, out, err = invoke(capsys, *[str(files.get(arg, arg)) for arg in argv])
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestSolveVerb:
     def test_modular_book_five(self, capsys, tmp_path):
         graph_file = tmp_path / "g.txt"

@@ -23,7 +23,7 @@ from irrstrength import (
 )
 from irrstrength.books import irregular_labeling
 from irrstrength.graphs import ORDER_LIMIT, _integer_array
-from irrstrength.labelings import LABEL_LIMIT, Certificate
+from irrstrength.labelings import LABEL_LIMIT, Certificate, WeightProfile
 
 C3 = make_family("cycle", 3)
 
@@ -179,6 +179,17 @@ class TestCertificateJson:
     def test_round_trip_value_equality(self):
         cert = make_certificate(C3, EdgeLabeling([1, 2, 3]), "modular")
         assert certificate_from_json(certificate_to_json(cert)) == cert
+
+    def test_bytes_read_as_the_same_text(self):
+        cert = make_certificate(make_triangular_book(5), modular_labeling(5), "modular")
+        # the writer's own layout, then a layout only json.loads reads
+        for text in (certificate_to_json(cert), json.dumps(json.loads(certificate_to_json(cert)), indent=1)):
+            assert certificate_from_json(text.encode()) == certificate_from_json(text) == cert
+
+    def test_residues_are_derived_from_the_weights(self):
+        prof = vertex_weights(C3, EdgeLabeling([1, 2, 3]))
+        with pytest.raises(TypeError):
+            WeightProfile(weights=prof.weights, residues=prof.residues)
 
     def test_rejects_tampered_weights(self):
         cert = make_certificate(C3, EdgeLabeling([1, 2, 3]), "modular")

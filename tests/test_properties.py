@@ -112,6 +112,7 @@ class TestWeightProperties:
         assert np.array_equal(prof.residues, prof.weights % g.order)
         assert int(prof.residues.min()) >= 0
         assert int(prof.residues.max()) < g.order
+        assert not prof.residues.flags.writeable
 
     @given(labeled_instances(), st.randoms(use_true_random=False))
     def test_permutation_equivariance(self, inst, rnd):
