@@ -197,16 +197,18 @@ _SLOT_SIDES = bytes({ord(":"): 1, ord("["): 1, ord(","): 3, ord("]"): 2}.get(c, 
 _MODE_ENDS = {b'"%s"}' % mode.encode(): mode for mode in (IRREGULAR, MODULAR)}
 
 
-def _writer_doc(text: str) -> dict | None:
+def _writer_doc(text: str | bytes) -> dict | None:
     """The fields of ``text`` read as whole arrays, or None unless it is the writer's output.
 
-    ``text``, stripped of JSON whitespace, must be byte for byte what
-    ``certificate_to_json`` emits for the numbers it holds: every other
-    text is left to ``json.loads``, so both read alike and fail alike.
+    ``text`` (``str`` or ASCII ``bytes``), stripped of JSON whitespace,
+    must be byte for byte what ``certificate_to_json`` emits for the
+    numbers it holds: every other text is left to ``json.loads``, so both
+    read alike and fail alike.
     """
-    if not (isinstance(text, str) and text.isascii()):
+    raw = text.encode("ascii") if isinstance(text, str) and text.isascii() else text
+    if not (isinstance(raw, bytes) and raw.isascii()):
         return None
-    raw = text.strip(" \t\n\r").encode("ascii")
+    raw = raw.strip(b" \t\n\r")
     sides = np.frombuffer(raw.translate(_SLOT_SIDES), dtype=np.uint8)
     if (sides[:-1] & (sides[1:] >> 1)).any():  # an empty slot, so values could sit outside the slots
         return None

@@ -29,10 +29,15 @@ as that of the plain DFS.
 ``count_labelings`` is an independent full-enumeration oracle with no
 pruning, no search order and no theory; it exists to cross-check the
 search. It checks every one of the k**size assignments in numpy batches:
-the weight rows of all labelings of the first few edges form one block,
-built once per call, and each labeling of the other edges is added to the
-whole block by broadcasting. A budget of ``_COUNT_BUDGET`` assignments
-(a few seconds) bounds every call.
+the weights of all labelings of the first few edges form one column-major
+block, a row per vertex, built once per call, and each labeling of the
+other edges adds its own weights to the rows of the vertices it touches.
+One rule serves both modes: the values, weights in ``s`` and residues in
+``ms``, are pairwise distinct. When they span at most 64 numbers, each
+vertex sets one bit of a uint64 per assignment, the vertices that no later
+edge touches are folded into one mask once, and an assignment is valid
+when ``order`` bits are set; a wider span sorts the values instead. A
+budget of ``_COUNT_BUDGET`` assignments (a few seconds) bounds every call.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ UNKNOWN = "unknown"
 
 _COUNT_BUDGET = 2**24  # assignments one count_labelings call may check
 _COUNT_BLOCK = 1 << 15  # assignments checked per numpy batch
+_MASK_BITS = 64  # widest value span checked as one bitmask per assignment
 
 
 @dataclass
@@ -293,12 +299,15 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
     Every one of the k**size assignments is generated and checked; there
     is no pruning, which is the point: this is the independent oracle the
     searching solver is compared against. The first b edges, b the most
-    with k**b <= ``_COUNT_BLOCK``, give a block of k**b weight rows, built
-    once. The labelings of the other edges come in chunks of about
-    ``_COUNT_BLOCK / k**b``; each adds its own weight row to the whole
-    block, so a batch has at most about ``_COUNT_BLOCK`` rows for any k.
-    A row is valid when its weights are pairwise distinct (``s``) or its
-    residues mod the order are (``ms``).
+    with k**b <= ``_COUNT_BLOCK``, give an (order, k**b) block of weights,
+    a row per vertex, built once. The labelings of the other edges come in
+    chunks of about ``_COUNT_BLOCK / k**b``; each adds its own weights to
+    the rows of the vertices those edges touch. An assignment is valid when
+    its values, the weights (``s``) or residues mod the order (``ms``), are
+    pairwise distinct. Values spanning at most ``_MASK_BITS`` numbers (the
+    order in ``ms``, k * max degree + 1 in ``s``) set one bit each of a
+    uint64 per assignment, the untouched rows folded into one mask once per
+    call, and ``order`` set bits mean valid; a wider span is sorted instead.
 
     ``k`` must be an integer (numpy integers too, ``bool`` not) and at
     least 1. A call over more than ``_COUNT_BUDGET`` assignments raises
@@ -315,31 +324,41 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
         )
     # a weight is at most size * k: int32 holds it, as the budget keeps it
     # below 2**24 for k >= 2
-    incidence = np.zeros((g.size, g.order), dtype=np.int32)
-    rows = np.arange(g.size)
-    incidence[rows, g.edges[:, 0]] = 1
-    incidence[rows, g.edges[:, 1]] = 1
+    incidence = np.zeros((g.order, g.size), dtype=np.int32)
+    incidence[g.edges.T, np.arange(g.size)] = 1
 
     b = 0
     while b < g.size and k ** (b + 1) <= _COUNT_BLOCK:
         b += 1
-    block = np.zeros((1, g.order), dtype=np.int32)
-    labels = np.arange(1, min(k, _COUNT_BLOCK) + 1, dtype=np.int32)  # all of 1..k when b > 0
-    for row in incidence[:b]:
-        block = (labels[:, None, None] * row + block).reshape(-1, g.order)
+    degree = int(g.degrees().max())
+    # a value is a weight mod span, which exceeds every weight in s; taking labels mod span
+    # too keeps every residue and holds each sum below (degree + 1) * span
+    span = g.order if mode == MODE_MS else k * degree + 1
+    labels = np.arange(1, min(k, _COUNT_BLOCK) + 1, dtype=np.int32) % span  # all of 1..k when b > 0
+    block = np.zeros((g.order, 1), dtype=np.int32)  # one row of weights per vertex
+    for col in incidence[:, :b].T:
+        block = (col[:, None, None] * labels[:, None] + block[:, None]).reshape(g.order, -1)
+    # the mask path folds the vertices no chunk changes into one row; the sort path keeps them all
+    moving = incidence[:, b:].any(axis=1) | (span > _MASK_BITS)
+    if span <= _MASK_BITS:
+        bits = np.uint64(1) << np.arange((degree + 1) * span, dtype=np.uint64) % np.uint64(span)
+        fixed = np.zeros(block.shape[1], dtype=np.uint64)
+        for v in np.flatnonzero(~moving):
+            fixed |= bits.take(block[v])
+    block = block[moving]
     rest = k ** (g.size - b)
     place = k ** np.arange(g.size - b, dtype=np.int32)
-    chunk = max(1, _COUNT_BLOCK // len(block))
-    expected = np.arange(g.order)
+    chunk = max(1, _COUNT_BLOCK // block.shape[1])
     total = 0
     for start in range(0, rest, chunk):
         index = np.arange(start, min(start + chunk, rest), dtype=np.int32)
-        extra = (index[:, None] // place % k + 1) @ incidence[b:]
-        weights = (extra[:, None] + block).reshape(-1, g.order)
-        if mode == MODE_MS:
-            candidates = np.sort(weights % g.order, axis=1)
-            total += int((candidates == expected).all(axis=1).sum())
-        else:
-            ordered = np.sort(weights, axis=1)
-            total += int((np.diff(ordered, axis=1) != 0).all(axis=1).sum())
+        extra = incidence[moving, b:] @ (index // place[:, None] % k + 1) % span
+        if span <= _MASK_BITS:
+            mask = fixed
+            for row, add in zip(block, extra):
+                mask = mask | bits.take(add[:, None] + row)
+            total += int(np.count_nonzero(np.bitwise_count(mask) == g.order))
+        else:  # sorted along the vertex axis, distinct values have no equal neighbours
+            values = np.sort((block[:, None] + extra[:, :, None]) % span, axis=0)
+            total += int(np.count_nonzero((values[1:] != values[:-1]).all(axis=0)))
     return total

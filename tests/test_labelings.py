@@ -387,6 +387,10 @@ class TestReaderAgainstReference:
 
     def test_writer_output_never_reaches_json(self, monkeypatch):
         texts = TEXTS + [certificate_to_json(make_certificate(make_triangular_book(1000), irregular_labeling(1000), "irregular"))]
+        for n in range(1, 51):
+            for labeling, mode in ((irregular_labeling(n), "irregular"), (modular_labeling(n), "modular")):
+                if labeling is not None:
+                    texts.append(certificate_to_json(make_certificate(make_triangular_book(n), labeling, mode)))
 
         def refuse(*args, **kwargs):
             raise AssertionError("json.loads reached")
@@ -394,15 +398,18 @@ class TestReaderAgainstReference:
         monkeypatch.setattr(json, "loads", refuse)
         for text in texts:
             for padded in (text, text + "\n", " \t" + text + "\r\n"):
-                assert certificate_to_json(certificate_from_json(padded)) == text
+                # ASCII bytes take the same whole-array path as str
+                for read in (padded, padded.encode()):
+                    assert certificate_to_json(certificate_from_json(read)) == text
 
     @staticmethod
     def check(text):
         try:
             want = reference_from_json(text)
         except FormatError as exc:
-            with pytest.raises(FormatError) as got:
-                certificate_from_json(text)
-            assert str(got.value) == str(exc)
+            for read in (text, text.encode()):
+                with pytest.raises(FormatError) as got:
+                    certificate_from_json(read)
+                assert str(got.value) == str(exc)
             return
-        assert certificate_from_json(text) == want
+        assert certificate_from_json(text) == certificate_from_json(text.encode()) == want

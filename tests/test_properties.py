@@ -2,6 +2,7 @@
 
 import math
 from itertools import combinations, product
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -21,6 +22,7 @@ from irrstrength import (
     verify_profile,
     vertex_weights,
 )
+from irrstrength import solver
 from irrstrength.books import (
     _case,
     irregular_labeling,
@@ -274,6 +276,15 @@ class TestSolverProperties:
             else:
                 expected += sorted(w % g.order for w in weights) == list(range(g.order))
         assert count_labelings(g, mode, k) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(3, 6), st.integers(1, 3), st.sampled_from(["s", "ms"]))
+    def test_count_mask_and_sort_paths_agree(self, g, k, mode):
+        # a mask width of 0 sends every call down the sort path
+        assume(k**g.size <= 3**9)
+        with patch.object(solver, "_MASK_BITS", 0):
+            by_sort = count_labelings(g, mode, k)
+        assert count_labelings(g, mode, k) == by_sort
 
     @settings(max_examples=20, deadline=None)
     @given(graphs(3, 6))

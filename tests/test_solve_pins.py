@@ -4,6 +4,8 @@ The digests were taken from the search before it pruned twin symmetry.
 The search returns the first valid labeling in plan order, and a pruned
 branch only ever holds labelings lex-greater than their image under a
 graph automorphism, so every byte of every certificate must stay the same.
+The enumeration oracle's counts on the same graphs are pinned too, taken
+before it checked distinctness as a bitmask.
 """
 
 import hashlib
@@ -11,7 +13,7 @@ import random
 
 import pytest
 
-from irrstrength import make_triangular_book, solve
+from irrstrength import count_labelings, make_triangular_book, solve
 
 from conftest import random_solid_graph
 
@@ -42,3 +44,33 @@ PINS = {
 @pytest.mark.parametrize("name, mode", sorted(PINS))
 def test_solve_results_are_byte_identical(name, mode):
     assert solve_digest(name, mode) == PINS[name, mode]
+
+
+# (graph index, mode, j): count_labelings at j = k and j = k - 1, k the solved
+# strength, wherever j**size <= 3**11; books are B_1..B_6
+COUNT_PINS = {
+    "books": {
+        (0, "s", 3): 6, (0, "s", 2): 0, (0, "ms", 3): 6, (0, "ms", 2): 0,
+        (1, "s", 2): 8, (1, "s", 1): 0, (1, "ms", 2): 8, (1, "ms", 1): 0,
+        (2, "s", 2): 24, (2, "s", 1): 0, (2, "ms", 2): 12, (2, "ms", 1): 0,
+        (3, "s", 3): 2160, (3, "s", 2): 0,
+        (4, "s", 3): 2880, (4, "s", 2): 0, (4, "ms", 3): 0,
+    },
+    "random": {
+        (0, "s", 3): 0, (0, "ms", 3): 0, (1, "s", 2): 0, (1, "ms", 2): 0, (2, "s", 2): 0,
+        (3, "s", 3): 1896, (3, "s", 2): 0, (3, "ms", 3): 1116, (3, "ms", 2): 0,
+        (6, "s", 2): 0,
+        (8, "s", 3): 1994, (8, "s", 2): 0, (8, "ms", 3): 78, (8, "ms", 2): 0,
+        (9, "s", 1): 0, (10, "s", 2): 0, (11, "s", 2): 0, (11, "ms", 2): 0,
+        (13, "s", 1): 0, (13, "ms", 1): 0, (14, "s", 2): 0, (14, "ms", 2): 0,
+        (15, "s", 2): 0, (15, "ms", 2): 0, (16, "s", 2): 0, (17, "s", 2): 0,
+        (17, "ms", 2): 0, (18, "s", 2): 0, (18, "ms", 2): 0, (19, "s", 2): 0,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_PINS))
+def test_oracle_counts_are_pinned(name):
+    graphs = _corpus(name)
+    counts = {key: count_labelings(graphs[key[0]], key[1], key[2]) for key in COUNT_PINS[name]}
+    assert counts == COUNT_PINS[name]

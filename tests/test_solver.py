@@ -183,6 +183,27 @@ class TestCountLabelings:
             tracemalloc.stop()
         assert peak < 40_000 * np.dtype(np.int32).itemsize
 
+    @pytest.mark.parametrize(
+        "g, mode, k",
+        [
+            (make_family("star", 3), "s", 21),  # values span 3 * 21 + 1 = 64: one bitmask
+            (make_family("star", 3), "s", 22),  # span 67: sorted
+            (C3, "s", 33),  # span 67, and valid labelings reach weight 65
+            (Graph(64, [(i, i + 1) for i in range(10)]), "ms", 2),  # span 64
+            (Graph(65, [(i, i + 1) for i in range(10)]), "ms", 2),  # span 65
+        ],
+    )
+    def test_both_sides_of_the_mask_width(self, g, mode, k):
+        expected = 0
+        for labels in itertools.product(range(1, k + 1), repeat=g.size):
+            weights = [0] * g.order
+            for (u, v), lab in zip(g.edge_tuples(), labels):
+                weights[u] += lab
+                weights[v] += lab
+            values = [w % g.order for w in weights] if mode == "ms" else weights
+            expected += len(set(values)) == g.order
+        assert count_labelings(g, mode, k) == expected
+
     def test_single_label_counts_nothing(self):
         for g in (C3, make_triangular_book(2), make_family("star", 3)):
             for mode in ("s", "ms"):
