@@ -47,16 +47,12 @@ def has_small_component(g: Graph) -> bool:
     return bool(((deg[u] == 1) & (deg[v] == 1)).any())
 
 
-def _require_no_small_component(g: Graph) -> None:
+def lower_bound_s(g: Graph) -> int:
+    """Counting lower bound for the irregularity strength."""
     if g.order == 0:
         raise ValueError("bound undefined for the empty graph")
     if has_small_component(g):
         raise ValueError("graph has a component of order <= 2; strength is infinite")
-
-
-def lower_bound_s(g: Graph) -> int:
-    """Counting lower bound for the irregularity strength."""
-    _require_no_small_component(g)
     return _counting_bound(g)
 
 

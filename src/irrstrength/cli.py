@@ -95,22 +95,8 @@ def fmt_strength(value) -> str:
     return "inf" if value == math.inf else str(value)
 
 
-def table_rows(start: int, stop: int, solve_upto: int):
-    """Yield (n, s, ms, s_solved, ms_solved) for the books B_start..B_stop.
-
-    s and ms are the closed-form strengths. The solved values are the
-    solver's k (inf for an infinite outcome, the outcome name otherwise)
-    for n <= solve_upto, and None beyond it.
-    """
-    for n in range(start, stop + 1):
-        solved = (None, None)
-        if n <= solve_upto:
-            g = make_triangular_book(n)
-            solved = tuple(_solved_value(solve(g, mode)) for mode in ("s", "ms"))
-        yield (n, books.irregular_strength(n), books.modular_strength(n), *solved)
-
-
 def _solved_value(result: StrengthResult):
+    """The solver's k, inf for an infinite outcome, the outcome name otherwise."""
     if result.outcome == "finite":
         return result.k
     return math.inf if result.outcome == "infinite" else result.outcome
@@ -179,10 +165,14 @@ def _cmd_table(args) -> int:
         print("table range must satisfy 1 <= from <= to", file=sys.stderr)
         return 2
     print(f"{'n':>6} {'s':>6} {'ms':>6} {'s_solved':>9} {'ms_solved':>10}")
-    for n, *values in table_rows(args.start, args.stop, args.solve_upto):
-        s_val, ms_val, s_solved, ms_solved = map(fmt_strength, values)
+    for n in range(args.start, args.stop + 1):
+        closed = [books.irregular_strength(n), books.modular_strength(n)]
+        solved = [None, None]
+        if n <= args.solve_upto:
+            solved = [_solved_value(solve(make_triangular_book(n), mode)) for mode in ("s", "ms")]
+        s_val, ms_val, s_solved, ms_solved = map(fmt_strength, closed + solved)
         print(f"{n:>6} {s_val:>6} {ms_val:>6} {s_solved:>9} {ms_solved:>10}")
-        if n <= args.solve_upto and values[:2] != values[2:]:
+        if n <= args.solve_upto and closed != solved:
             print(f"n={n}: solved s, ms = {s_solved}, {ms_solved} but closed form {s_val}, {ms_val}", file=sys.stderr)
             return 1
     return 0

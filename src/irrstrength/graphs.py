@@ -2,7 +2,10 @@
 
 Vertices are 0..order-1. The edge list is stored as an (m, 2) int64 array
 with u < v per row, rows sorted lexicographically, so the edges from each
-vertex up to higher ones are one run of consecutive rows. Graphs are
+vertex up to higher ones are one run of consecutive rows. Each edge has
+one key, min(u, v) * order + max(u, v): canonical input has u < v and
+strictly increasing keys; any other is sorted once by key, checked for
+equal neighbours (duplicates) and rebuilt by ``divmod``. Graphs are
 immutable after construction; the triangular book constructor pins a = 0,
 b = 1 and c_i = i + 1 so emitted certificates are comparable across runs.
 
@@ -40,13 +43,16 @@ class Graph:
             raise ValueError("edges must be a sequence of vertex pairs")
         if arr.size and (arr.min() < 0 or arr.max() >= order):
             raise ValueError("edge endpoint out of range")
-        arr = np.sort(arr.astype(np.int64, copy=False), axis=1)
-        if np.any(arr[:, 0] == arr[:, 1]):
+        arr = arr.astype(np.int64)  # a copy, so the caller's array stays writable and apart
+        u, v = arr.T
+        if np.any(u == v):
             raise ValueError("self-loops are not allowed")
-        if not _is_canonical(arr):
-            arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-            if not _is_canonical(arr):
+        key = np.minimum(u, v) * order + np.maximum(u, v)
+        if not ((u < v).all() and (key[1:] > key[:-1]).all()):
+            key.sort()
+            if np.any(key[1:] == key[:-1]):
                 raise ValueError("duplicate edges are not allowed")
+            arr = np.stack(divmod(key, order), axis=1)
         arr.setflags(write=False)
         self.order = order
         self._edges = arr
@@ -133,15 +139,6 @@ def _integer_array(values, what: str) -> np.ndarray:
         return arr.astype(np.int64)
     except OverflowError:  # past int64: kept exact, so range checks report the value as it is
         return arr
-
-
-def _is_canonical(arr: np.ndarray) -> bool:
-    # strictly increasing rows (lexicographic) also rules out duplicates
-    if arr.shape[0] < 2:
-        return True
-    d0 = np.diff(arr[:, 0])
-    d1 = np.diff(arr[:, 1])
-    return bool(np.all((d0 > 0) | ((d0 == 0) & (d1 > 0))))
 
 
 def make_triangular_book(n: int) -> Graph:

@@ -89,7 +89,7 @@ class Verdict:
         return self.ok
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(frozen=True)
 class Certificate:
     """A labeling plus its computed weights, sufficient for re-verification."""
 
@@ -97,16 +97,6 @@ class Certificate:
     labeling: EdgeLabeling
     profile: WeightProfile
     mode: str
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Certificate):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.labeling == other.labeling
-            and self.profile == other.profile
-            and self.mode == other.mode
-        )
 
 
 def vertex_weights(g: Graph, f: EdgeLabeling) -> WeightProfile:

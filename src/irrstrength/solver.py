@@ -6,14 +6,14 @@ reuses it at every k: a greedy edge order that always takes next the edge
 closing the most vertices, so that vertices become final early. A step is
 (e, u, v, closing, opened): the edge, its endpoints, those it closes, and
 those it leaves open, with their counts of unassigned edges. A vertex
-whose incident edges are all assigned is final, and its weight (residue,
-in modular mode) must differ from every other final vertex, otherwise the
-branch is cut. The first full assignment in search-order DFS is mapped
-back to canonical edge order and returned, so the minimal feasible k
-yields a deterministic certificate.
+whose incident edges are all assigned is final, and its value, its weight
+mod a span (``_span``, the oracle's rule too), must differ from every
+other final vertex, otherwise the branch is cut. The first full assignment
+in search-order DFS is mapped back to canonical edge order and returned,
+so the minimal feasible k yields a deterministic certificate.
 The values closed vertices took are kept as one int bitmask. A vertex
 still open, with weight w and r unassigned edges, can end only in
-[w + r, w + r*k] (mod the order, in modular mode); after each label, the
+[w + r, w + r*k] (mod the span); after each label, the
 search cuts the branch if an endpoint of the labelled edge that is still
 open has every value of that run already taken (a reachable-value
 look-ahead over the step's ``opened``, one shifted AND against the mask).
@@ -175,24 +175,29 @@ def _least_label(twins, labels, i: int) -> int:
     return least
 
 
-def _search(plan, checks, order: int, k: int, modulus: int):
+def _span(g: Graph, mode: str, k: int) -> int:
+    """Values are weights mod this: the order in ``ms``; in ``s`` k * max degree + 1, past every weight."""
+    return g.order if mode == MODE_MS else k * int(g.degrees().max()) + 1
+
+
+def _search(plan, checks, order: int, k: int, span: int):
     """Depth-first search over ``plan`` with labels in 1..k.
 
     Returns (canonical labels of the first solution or None, nodes). Step
-    i starts at ``_least_label`` of ``checks[i]``. A closed vertex's weight,
-    reduced mod ``modulus`` when nonzero, must differ from every other's.
+    i starts at ``_least_label`` of ``checks[i]``. A closed vertex's value,
+    its weight mod ``span`` (``_span``), must differ from every other's.
     The values taken so far are one int bitmask. An endpoint in step i's
     ``opened`` with weight w and r unassigned edges can still reach only [w + r, w + r*k]
-    (mod ``modulus``); a step that leaves every such value taken is cut.
+    (mod ``span``); a step that leaves every such value taken is cut.
     """
     size = len(plan)
     labels = [0] * size  # in plan order
     weights = [0] * order
     # runs[r]: the r*(k - 1) + 1 values a vertex with r open edges can reach, as
-    # a run of bits from bit 0; in modular mode at most all ``modulus`` residues,
-    # of which a vertex still open always leaves one free, so the check never cuts
-    reach = [r * (k - 1) + 1 for r in range(order)]
-    runs = [(1 << (min(n, modulus) if modulus else n)) - 1 for n in reach]
+    # a run of bits from bit 0, at most all ``span`` values; a full run always has
+    # a value free, as the vertex holds none yet, so it never cuts. In s no weight
+    # or reachable run gets to ``span``, so the values are the weights themselves
+    runs = [(1 << min(r * (k - 1) + 1, span)) - 1 for r in range(order)]
     nodes = 0
     sys.setrecursionlimit(max(sys.getrecursionlimit(), size + 100))
 
@@ -209,16 +214,15 @@ def _search(plan, checks, order: int, k: int, modulus: int):
             weights[v] += lab
             taken = finals
             for w in closing:
-                bit = 1 << (weights[w] % modulus if modulus else weights[w])
+                bit = 1 << weights[w] % span
                 if taken & bit:
                     break
                 taken |= bit
             else:
-                # a run that wraps past the modulus is matched against the taken bits twice over
-                free = ~(taken | taken << modulus) if modulus else ~taken
+                # a run that wraps past the span is matched against the taken bits twice over
+                free = ~(taken | taken << span)
                 for w, r in opened:
-                    low = weights[w] + r
-                    if not runs[r] << (low % modulus if modulus else low) & free:
+                    if not runs[r] << (weights[w] + r) % span & free:
                         break
                 else:
                     if descend(i + 1, taken):
@@ -266,10 +270,9 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
 
     plan = _search_plan(g)
     checks = _twin_checks(plan, g.order)
-    modulus = g.order if mode == MODE_MS else 0
     nodes = 0
     for k in range(lb, k_max + 1):
-        best, searched = _search(plan, checks, g.order, k, modulus)
+        best, searched = _search(plan, checks, g.order, k, _span(g, mode, k))
         nodes += searched
         if best is not None:
             cert = make_certificate(g, EdgeLabeling(best), MODULAR if mode == MODE_MS else IRREGULAR)
@@ -308,6 +311,7 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
     order in ``ms``, k * max degree + 1 in ``s``) set one bit each of a
     uint64 per assignment, the untouched rows folded into one mask once per
     call, and ``order`` set bits mean valid; a wider span is sorted instead.
+    At k = 1 the one labeling, whose weights are the degrees, is checked alone.
 
     ``k`` must be an integer (numpy integers too, ``bool`` not) and at
     least 1. A call over more than ``_COUNT_BUDGET`` assignments raises
@@ -322,6 +326,9 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
         raise ValueError(
             f"instance too large to enumerate: {k}**{g.size} assignments exceed the budget of {_COUNT_BUDGET}"
         )
+    span = _span(g, mode, k)
+    if k == 1:  # the one labeling, whose weights are the degrees
+        return int(np.unique(g.degrees() % span).size == g.order)
     # a weight is at most size * k: int32 holds it, as the budget keeps it
     # below 2**24 for k >= 2
     incidence = np.zeros((g.order, g.size), dtype=np.int32)
@@ -331,9 +338,7 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
     while b < g.size and k ** (b + 1) <= _COUNT_BLOCK:
         b += 1
     degree = int(g.degrees().max())
-    # a value is a weight mod span, which exceeds every weight in s; taking labels mod span
-    # too keeps every residue and holds each sum below (degree + 1) * span
-    span = g.order if mode == MODE_MS else k * degree + 1
+    # taking labels mod span too keeps every residue and holds each sum below (degree + 1) * span
     labels = np.arange(1, min(k, _COUNT_BLOCK) + 1, dtype=np.int32) % span  # all of 1..k when b > 0
     block = np.zeros((g.order, 1), dtype=np.int32)  # one row of weights per vertex
     for col in incidence[:, :b].T:

@@ -16,6 +16,16 @@ from irrstrength.graphs import _integer_array
 from test_codec_pins import FAMILIES
 
 
+def _reference_edges(edges) -> list[tuple[int, int]]:
+    """The canonical edge list of ``edges``, in plain Python: self-loops are reported before duplicates."""
+    rows = [(min(u, v), max(u, v)) for u, v in edges]
+    if any(u == v for u, v in rows):
+        raise ValueError("self-loops are not allowed")
+    if len(set(rows)) != len(rows):
+        raise ValueError("duplicate edges are not allowed")
+    return sorted(rows)
+
+
 class TestGraphConstruction:
     def test_canonicalizes_unsorted_input(self):
         g = Graph(4, [(3, 1), (0, 2), (1, 0)])
@@ -89,6 +99,35 @@ class TestGraphConstruction:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Graph(5, [(0, 1), (2, 3)])
+
+    def test_canonical_array_is_copied(self):
+        arr = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        g = Graph(3, arr)
+        assert arr.flags.writeable
+        arr[0, 0] = 2
+        assert g.edge_tuples() == [(0, 1), (1, 2)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_a_reference(self, data):
+        # shuffled rows, random orientations, flipped duplicates and self-loops
+        order = data.draw(st.integers(1, 8), label="order")
+        pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        if edges:
+            edges += data.draw(st.lists(st.sampled_from(edges), max_size=2), label="duplicates")
+        edges += [(w, w) for w in data.draw(st.lists(st.integers(0, order - 1), max_size=1), label="loops")]
+        edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in data.draw(st.permutations(edges))]
+        if data.draw(st.booleans(), label="as array"):
+            edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        try:
+            expected = _reference_edges(edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                Graph(order, edges)
+            assert str(caught.value) == str(exc)
+        else:
+            assert Graph(order, edges).edge_tuples() == expected
 
 
 class TestTriangularBook:

@@ -209,6 +209,16 @@ class TestCountLabelings:
             for mode in ("s", "ms"):
                 assert count_labelings(g, mode, 1) == 0
 
+    def test_single_label_needs_no_enumeration(self):
+        g = make_triangular_book(3000)
+        tracemalloc.start()
+        try:
+            assert count_labelings(g, "s", 1) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20  # an (order, size) incidence matrix of int32 alone is 72 MB
+
     def test_agrees_with_pruned_search_counts(self):
         # enumeration oracle vs the pruned search, both modes: from the bound up to
         # the solved k, the search finds a labeling by j iff the oracle counts one at j
