@@ -4,19 +4,21 @@ Search runs iterative deepening on the max label k, starting from the
 counting lower bound. Each ``solve`` call builds one search plan and
 reuses it at every k: a greedy edge order that always takes next the edge
 closing the most vertices, so that vertices become final early. A step is
-(e, u, v, closing, opened): the edge, its endpoints, those it closes, and
-those it leaves open, with their counts of unassigned edges. A vertex
-whose incident edges are all assigned is final, and its value, its weight
-mod a span (``_span``, the oracle's rule too), must differ from every
-other final vertex, otherwise the branch is cut. The first full assignment
-in search-order DFS is mapped back to canonical edge order and returned,
-so the minimal feasible k yields a deterministic certificate.
+(e, u, v, closing, opened, twins): the edge, its endpoints, those it
+closes, those it leaves open with their counts of unassigned edges, and
+the twin transpositions checked there. A vertex whose incident edges are
+all assigned is final, and its value, its weight mod a span (``_span``,
+the oracle's rule too), must differ from every other final vertex,
+otherwise the branch is cut. The first full assignment in search-order DFS
+is mapped back to canonical edge order and returned, so the minimal
+feasible k yields a deterministic certificate.
 The values closed vertices took are kept as one int bitmask. A vertex
 still open, with weight w and r unassigned edges, can end only in
-[w + r, w + r*k] (mod the span); after each label, the
-search cuts the branch if an endpoint of the labelled edge that is still
-open has every value of that run already taken (a reachable-value
-look-ahead over the step's ``opened``, one shifted AND against the mask).
+[w + r, w + r*k] (mod the span); after each label, the search cuts the
+branch if an endpoint in the step's ``opened`` has every value of that run
+already taken (one shifted AND against the mask). Only the first
+``order`` values of a run are checked, in both modes: an open vertex holds
+no value, so any ``order`` values in a row include a free one.
 Twins u, v, with N(u) - {v} = N(v) - {u} (equal open or closed
 neighbourhoods), give an automorphism (u v). For each two consecutive
 members of a twin class, search skips every label that would make the
@@ -26,18 +28,8 @@ solution in DFS order is never lex-greater: certificates stay the same.
 Neither cut removes a valid labeling, and k starts at the degree-range
 counting bound, below which none exists, so the certificate is the same
 as that of the plain DFS.
-``count_labelings`` is an independent full-enumeration oracle with no
-pruning, no search order and no theory; it exists to cross-check the
-search. It checks every one of the k**size assignments in numpy batches:
-the weights of all labelings of the first few edges form one column-major
-block, a row per vertex, built once per call, and each labeling of the
-other edges adds its own weights to the rows of the vertices it touches.
-One rule serves both modes: the values, weights in ``s`` and residues in
-``ms``, are pairwise distinct. When they span at most 64 numbers, each
-vertex sets one bit of a uint64 per assignment, the vertices that no later
-edge touches are folded into one mask once, and an assignment is valid
-when ``order`` bits are set; a wider span sorts the values instead. A
-budget of ``_COUNT_BUDGET`` assignments (a few seconds) bounds every call.
+``count_labelings`` is the independent full-enumeration oracle the search
+is cross-checked against; its docstring says how it enumerates.
 """
 
 from __future__ import annotations
@@ -107,11 +99,13 @@ class StrengthResult:
 def _search_plan(g: Graph) -> list[tuple]:
     """One step per edge, in the order the search assigns them.
 
-    A step is (canonical edge index, u, v, closing, opened): the endpoints
-    whose last unassigned edge this is, and each other endpoint as (vertex,
-    number of unassigned edges). Each step takes the unassigned edge that
-    closes the most vertices; ties go to the smallest sum of the
-    endpoints' unassigned degrees, then to the lowest index.
+    A step is (canonical edge index, u, v, closing, opened, twins): the
+    endpoints whose last unassigned edge this is, each other endpoint as
+    (vertex, number of unassigned edges), and a list of the twin
+    transpositions with a cycle of steps ending here, each as all its
+    cycles (p, q), p < q, sorted by p. Each step takes the unassigned edge that closes the most
+    vertices; ties go to the smallest sum of the endpoints' unassigned
+    degrees, then to the lowest index.
     """
     ends = g.edge_tuples()
     remaining = g.degrees().tolist()
@@ -122,6 +116,8 @@ def _search_plan(g: Graph) -> list[tuple]:
         return -closes, remaining[u] + remaining[v], e
 
     unassigned = set(range(g.size))
+    at = [{} for _ in range(g.order)]  # at[u][w]: the step of edge {u, w}
+    masks = [0] * g.order  # each vertex's neighbours as a bitmask
     plan = []
     while unassigned:
         e = min(unassigned, key=rank)
@@ -129,21 +125,11 @@ def _search_plan(g: Graph) -> list[tuple]:
         u, v = ends[e]
         remaining[u] -= 1
         remaining[v] -= 1
-        closing = tuple(w for w in (u, v) if not remaining[w])
-        plan.append((e, u, v, closing, tuple((w, remaining[w]) for w in (u, v) if remaining[w])))
-    return plan
-
-
-def _twin_checks(plan, order: int) -> list[tuple]:
-    """Per step q of ``plan``, the twin transpositions with a cycle (p, q):
-    each as all its cycles of steps, p < q in each, sorted by p."""
-    at = [{} for _ in range(order)]  # at[u][w]: the step of edge {u, w}
-    masks = [0] * order
-    for i, (_, u, v, _, _) in enumerate(plan):
-        at[u][v] = at[v][u] = i
+        at[u][v] = at[v][u] = len(plan)
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    checks = [()] * len(plan)
+        closing = tuple(w for w in (u, v) if not remaining[w])
+        plan.append((e, u, v, closing, tuple((w, remaining[w]) for w in (u, v) if remaining[w]), []))
     last = {}  # the latest vertex with each open (key >= 0) or closed neighbourhood
     for v, mask in enumerate(masks):
         for key in (mask, ~(mask | 1 << v)):
@@ -153,8 +139,8 @@ def _twin_checks(plan, order: int) -> list[tuple]:
                 pairs = [(p, at[v][w]) for w, p in at[u].items() if w != v]
                 cycles = tuple(sorted([(p, q) if p < q else (q, p) for p, q in pairs]))
                 for _, q in cycles:
-                    checks[q] += (cycles,)
-    return checks
+                    plan[q][5].append(cycles)
+    return plan
 
 
 def _least_label(twins, labels, i: int) -> int:
@@ -180,24 +166,24 @@ def _span(g: Graph, mode: str, k: int) -> int:
     return g.order if mode == MODE_MS else k * int(g.degrees().max()) + 1
 
 
-def _search(plan, checks, order: int, k: int, span: int):
+def _search(plan, order: int, k: int, span: int):
     """Depth-first search over ``plan`` with labels in 1..k.
 
-    Returns (canonical labels of the first solution or None, nodes). Step
-    i starts at ``_least_label`` of ``checks[i]``. A closed vertex's value,
+    Returns (canonical labels of the first solution or None, nodes). A step
+    starts at ``_least_label`` of its ``twins``. A closed vertex's value,
     its weight mod ``span`` (``_span``), must differ from every other's.
-    The values taken so far are one int bitmask. An endpoint in step i's
-    ``opened`` with weight w and r unassigned edges can still reach only [w + r, w + r*k]
-    (mod ``span``); a step that leaves every such value taken is cut.
+    The values taken so far are one int bitmask. An endpoint in a step's
+    ``opened`` with weight w and r unassigned edges can still reach only
+    [w + r, w + r*k] (mod ``span``), of which the first ``order`` values
+    are checked; a step that leaves every checked value taken is cut.
     """
     size = len(plan)
     labels = [0] * size  # in plan order
     weights = [0] * order
     # runs[r]: the r*(k - 1) + 1 values a vertex with r open edges can reach, as
-    # a run of bits from bit 0, at most all ``span`` values; a full run always has
-    # a value free, as the vertex holds none yet, so it never cuts. In s no weight
-    # or reachable run gets to ``span``, so the values are the weights themselves
-    runs = [(1 << min(r * (k - 1) + 1, span)) - 1 for r in range(order)]
+    # a run of bits from bit 0, at most ``order`` of them: an open vertex holds no
+    # value, so at most order - 1 are taken and any ``order`` in a row hold a free one
+    runs = [(1 << min(r * (k - 1) + 1, order)) - 1 for r in range(order)]
     nodes = 0
     sys.setrecursionlimit(max(sys.getrecursionlimit(), size + 100))
 
@@ -205,8 +191,7 @@ def _search(plan, checks, order: int, k: int, span: int):
         nonlocal nodes
         if i == size:
             return True
-        _, u, v, closing, opened = plan[i]
-        twins = checks[i]
+        _, u, v, closing, opened, twins = plan[i]
         for lab in range(_least_label(twins, labels, i) if twins else 1, k + 1):
             nodes += 1
             labels[i] = lab
@@ -225,6 +210,7 @@ def _search(plan, checks, order: int, k: int, span: int):
                     if not runs[r] << (weights[w] + r) % span & free:
                         break
                 else:
+                    del free  # else every frame down the descent keeps its 2 * span bits
                     if descend(i + 1, taken):
                         return True
             weights[u] -= lab
@@ -269,10 +255,9 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
         raise ValueError(f"k_max={k_max} is below the lower bound {lb}")
 
     plan = _search_plan(g)
-    checks = _twin_checks(plan, g.order)
     nodes = 0
     for k in range(lb, k_max + 1):
-        best, searched = _search(plan, checks, g.order, k, _span(g, mode, k))
+        best, searched = _search(plan, g.order, k, _span(g, mode, k))
         nodes += searched
         if best is not None:
             cert = make_certificate(g, EdgeLabeling(best), MODULAR if mode == MODE_MS else IRREGULAR)

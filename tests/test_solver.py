@@ -22,7 +22,7 @@ from irrstrength import (
 )
 from irrstrength import solver
 from irrstrength.books import irregular_strength, modular_strength
-from irrstrength.solver import _search_plan, _twin_checks
+from irrstrength.solver import _search_plan
 
 from conftest import random_solid_graph
 
@@ -33,6 +33,15 @@ def _pinned_corpus():
     """The random corpus of tests/test_solve_pins.py."""
     rng = random.Random(0)
     return [random_solid_graph(rng, 8, 11, 0.3) for _ in range(20)]
+
+
+# search nodes per instance of the corpora of ``test_plans_are_pinned``
+NODE_PINS = {
+    ("books", "s"): [17, 10, 10, 14, 19, 24, 30, 36, 43, 50, 58, 66, 75, 84, 94, 104, 115, 126],
+    ("books", "ms"): [17, 10, 10, 0, 397, 134, 244, 0, 118, 71, 58, 0, 4708, 2536, 1998, 0, 352, 157],
+    ("random", "s"): [1513, 1247, 285, 265, 36, 85, 100, 54, 20, 1966, 756, 274, 21, 1421, 152, 168, 133, 57, 41, 40],
+    ("random", "ms"): [1513, 1271, 0, 265, 33, 7867, 0, 0, 82, 0, 150_280, 837, 27, 1409, 2562, 168, 0, 57, 1968, 0],
+}
 
 
 class TestSolveBooks:
@@ -47,6 +56,20 @@ class TestSolveBooks:
         assert result.outcome == "finite"
         assert result.k == 4
         assert result.nodes < 2_000
+
+    def test_deep_irregular_search_stays_small(self):
+        # 1,201 steps deep, past the default recursion limit. Frames that keep their
+        # doubled value mask through the descent peak at 29 MB, runs wider than the
+        # order at 8 MB
+        g = make_triangular_book(600)
+        tracemalloc.start()
+        try:
+            result = solve(g, "s")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.k == irregular_strength(600) == 301
+        assert peak < 4 * 2**20
 
     def test_modular_agreement_skipping_infinite(self):
         for n in (1, 2, 3, 5, 6):
@@ -260,10 +283,10 @@ class TestSearchOrder:
         for g in graphs:
             plan = _search_plan(g)
             assert sorted(e for e, *_ in plan) == list(range(g.size))
-            closed = [w for _, _, _, closing, _ in plan for w in closing]
+            closed = [w for _, _, _, closing, *_ in plan for w in closing]
             assert sorted(closed) == np.flatnonzero(g.degrees()).tolist()
             # opened: each endpoint left with unassigned edges, recounted from the later steps
-            for i, (_, u, v, closing, opened) in enumerate(plan):
+            for i, (_, u, v, closing, opened, _) in enumerate(plan):
                 later = collections.Counter(x for _, a, b, *_ in plan[i + 1 :] for x in (a, b))
                 assert opened == tuple((w, later[w]) for w in (u, v) if later[w])
                 assert closing == tuple(w for w in (u, v) if not later[w])
@@ -307,6 +330,13 @@ class TestSearchOrder:
         text = repr([[step[:4] for step in _search_plan(g)] for g in graphs])
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
+    @pytest.mark.parametrize("name, mode", sorted(NODE_PINS))
+    def test_nodes_are_pinned(self, name, mode):
+        # per instance, B_1..B_18 and the pinned random corpus; a change to the
+        # search that moves any count updates these pins on purpose
+        graphs = [make_triangular_book(n) for n in range(1, 19)] if name == "books" else _pinned_corpus()
+        assert [solve(g, mode).nodes for g in graphs] == NODE_PINS[name, mode]
+
     def test_book_nineteen_modular_node_guard(self):
         result = solve(make_triangular_book(19), "ms")
         assert result.k == 10
@@ -323,8 +353,7 @@ class TestSearchOrder:
         graphs += [(make_triangular_book(1), 2), (Graph(4, list(itertools.combinations(range(4), 2))), 3)]
         graphs += [(make_family("cycle", 5), 0)]
         for g, count in graphs:
-            plan = _search_plan(g)
-            checks = _twin_checks(plan, g.order)
+            checks = [step[5] for step in _search_plan(g)]
             swaps = {cycles for twins in checks for cycles in twins}
             assert len(swaps) == count
             for cycles in swaps:
