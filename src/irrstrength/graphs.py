@@ -11,7 +11,8 @@ b = 1 and c_i = i + 1 so emitted certificates are comparable across runs.
 
 Edge-list text in ``format_edge_list``'s own layout is parsed as whole
 arrays; any other text is parsed line by line, which raises every error
-of the grammar, so both paths accept and reject alike.
+of the grammar, so both paths accept and reject alike. All text codecs
+read numbers through ``_decimals`` and write them through ``_rows``.
 """
 
 from __future__ import annotations
@@ -182,9 +183,60 @@ def make_family(kind: str, size: int) -> Graph:
     raise ValueError(f"unknown family {kind!r}")
 
 
+_EDGE_LINE = "%d %d\n"
+
+
 def format_edge_list(g: Graph) -> str:
     """Edge-list text: first line ``order m``, then one ``u v`` line per edge."""
-    return f"{g.order} {g.size}\n" + "%d %d\n" * g.size % tuple(g.edges.ravel().tolist())
+    return _rows(_EDGE_LINE, np.r_[g.order, g.edges[:, 0]], np.r_[g.size, g.edges[:, 1]])
+
+
+# 4 ASCII bytes per group of 4 digits: "%04d" below a higher group, then the leading
+# group NUL-padded (all NULs for a blank group above it), then "0" for the value 0
+_INNER = (np.arange(10**4, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+_LEADING = _INNER * np.logical_or.accumulate(_INNER > ord("0"), axis=1)
+_GROUPS = np.concatenate((_INNER, _LEADING, np.uint8([[0, 0, 0, ord("0")]]))).view(np.uint32).ravel()
+_BLOCK = 1 << 13
+
+
+def _rows(template: str, *columns) -> str:
+    """``"".join(template % row for row in zip(*columns))`` for a NUL-free ASCII ``template``, written whole.
+
+    Columns are equal-length non-negative int64: endpoints, labels, weights,
+    residues. Each value is cut into groups of 4 digits, each written as one
+    4-byte cell of ``_GROUPS``; deleting the NULs that pad the cells from a
+    table of rows of constant bytes and cells leaves the text.
+    """
+    columns = [np.asarray(column, dtype=np.int64) for column in columns]
+    groups = [(len(str(column.max(initial=0))) + 3) // 4 for column in columns]
+    n = len(columns[0])
+    # a block of rows at a time, in one table whose constant bytes are written once,
+    # so that every array a block needs is small enough to be reused, not mapped afresh
+    table = np.empty((min(n, _BLOCK), len(template) - 2 * len(columns) + 4 * sum(groups)), dtype=np.uint8)
+    slots, at = [], 0
+    for part, g in zip(template.encode("ascii").split(b"%d"), groups + [0]):
+        table[:, at : at + len(part)] = np.frombuffer(part, dtype=np.uint8)
+        slots.append(table[:, at + len(part) : at + len(part) + 4 * g])
+        at += len(part) + 4 * g
+    text = []
+    for start in range(0, n, _BLOCK):
+        rows = min(n - start, _BLOCK)
+        for column, g, slot in zip(columns, groups, slots):
+            slot[:rows] = _cells(column[start : start + rows], g).view(np.uint8)
+        text.append(table[:rows].tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text)
+
+
+def _cells(values: np.ndarray, g: int) -> np.ndarray:
+    """(n, g) uint32: the cells of each value's last g groups of 4 digits, most significant first."""
+    index = np.empty((values.size, g), dtype=np.int64)
+    high = values
+    for j in range(g - 1, -1, -1):
+        rest = high // 10**4
+        index[:, j] = high - rest * 10**4 + (rest == 0) * 10**4
+        high = rest
+    index[:, -1] += (values == 0) * 10**4
+    return _GROUPS[index]
 
 
 _DIGITS = b"0123456789"
@@ -220,7 +272,7 @@ def _writer_fields(text: str) -> tuple[int, np.ndarray] | None:
     if values is None or values.size < 2 or values.size != 2 * int(values[1]) + 2:
         return None
     # with a break last, 2m + 2 values for 2m + 2 separators put one value before each
-    if layout != b" \n" * (values.size // 2) or values[0] > ORDER_LIMIT:
+    if layout != _EDGE_LINE.replace("%d", "").encode() * (values.size // 2) or values[0] > ORDER_LIMIT:
         return None
     edges = values[2:].reshape(-1, 2)
     return (int(values[0]), edges) if (edges[:, 0] < edges[:, 1]).all() else None

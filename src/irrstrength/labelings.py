@@ -9,6 +9,9 @@ supported input limits (order <= 1e6, labels <= 1e6): at most 1e12 <
 2^53, which also keeps exact the float64 sums that ``np.bincount`` makes
 over the higher endpoints. The sums over the lower endpoints are taken in
 int64, one per run of edges sharing that endpoint.
+
+Certificates and DOT are written through ``graphs._rows``, in the layout
+``_FIELDS`` that ``_writer_doc`` also reads back as whole arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _DIGITS, ORDER_LIMIT, FormatError, Graph, _decimals, _integer_array
+from .graphs import _DIGITS, ORDER_LIMIT, FormatError, Graph, _decimals, _integer_array, _rows
 
 LABEL_LIMIT = 10**6
 
@@ -160,31 +163,28 @@ def make_certificate(g: Graph, f: EdgeLabeling, mode: str) -> Certificate:
     return Certificate(graph=g, labeling=f, profile=vertex_weights(g, f), mode=mode)
 
 
-def _layout(m: int, order: int, slot: str) -> tuple[str, ...]:
-    """The writer's certificate text up to the mode's value, one part per field, ``slot`` in place of each number."""
-    n = slot + ","
-    return (
-        '{"order":' + slot,
-        ',"edges":[' + (("[" + n + slot + "],") * m)[:-1],
-        '],"labels":[' + (n * m)[:-1],
-        '],"weights":[' + (n * order)[:-1],
-        '],"residues":[' + (n * order)[:-1],
-        '],"k":' + n + '"mode":',
-    )
+# the certificate text up to its mode: per field, its opening and the row of each value
+# (of each edge, its endpoints), the rows separated by commas
+_FIELDS = (('{"order":', "%d"), (',"edges":[', "[%d,%d]"), ('],"labels":[', "%d"),
+           ('],"weights":[', "%d"), ('],"residues":[', "%d"), ('],"k":', "%d"))
+_MODE_KEY = ',"mode":'
 
 
 def certificate_to_json(cert: Certificate) -> str:
     """Single-line JSON with fixed key order, suitable for golden files."""
-    g, f = cert.graph, cert.labeling
-    fields = (g.order, g.edges, f.labels, cert.profile.weights, cert.profile.residues, f.k)
-    # field by field, so the Python ints of one field are freed before the next is formatted
-    text = "".join(part % tuple(np.ravel(v).tolist()) for part, v in zip(_layout(g.size, g.order, "%d"), fields))
-    return text + json.dumps(cert.mode) + "}"
+    g, f, p = cert.graph, cert.labeling, cert.profile
+    columns = ([[g.order]], g.edges.T, [f.labels], [p.weights], [p.residues], [[f.k]])
+    text = []
+    for (opening, row), values in zip(_FIELDS, columns):
+        # every row but the last ends in the comma, so no field's text is copied to drop one
+        text += opening, _rows(row + ",", *(c[:-1] for c in values)), row % tuple(c[-1] for c in values)
+    text += _MODE_KEY, json.dumps(cert.mode), "}"
+    return "".join(text)
 
 
 # 1: may open a number's slot, 2: may close one, 3: both
 _SLOT_SIDES = bytes({ord(":"): 1, ord("["): 1, ord(","): 3, ord("]"): 2}.get(c, 0) for c in range(256))
-_MODE_ENDS = {b'"%s"}' % mode.encode(): mode for mode in (IRREGULAR, MODULAR)}
+_MODE_ENDS = {(_MODE_KEY + json.dumps(mode) + "}").encode(): mode for mode in (IRREGULAR, MODULAR)}
 
 
 def _writer_doc(text: str | bytes) -> dict | None:
@@ -211,7 +211,8 @@ def _writer_doc(text: str | bytes) -> dict | None:
     m, rest = divmod(values.size - 2 - 2 * order, 3)
     if m < 1 or order < 1 or rest:
         return None
-    head = "".join(_layout(m, order, "")).encode("ascii")
+    rows = ((opening, row.replace("%d", ""), n) for (opening, row), n in zip(_FIELDS, (1, m, m, order, order, 1)))
+    head = "".join(opening + (row + ",") * (n - 1) + row for opening, row, n in rows).encode("ascii")
     mode = _MODE_ENDS.get(layout[len(head) :])
     if mode is None or not layout.startswith(head):
         return None
@@ -292,7 +293,6 @@ def certificate_from_json(text: str | bytes) -> Certificate:
 def certificate_to_dot(cert: Certificate) -> str:
     """DOT rendering: weights as vertex labels, edge labels as attributes."""
     g = cert.graph
-    vertices = np.column_stack((np.arange(g.order), cert.profile.weights)).ravel().tolist()
-    edges = np.column_stack((g.edges, cert.labeling.labels)).ravel().tolist()
-    head = "graph G {\n" + '  %d [label="%d"];\n' * g.order % tuple(vertices)
-    return head + '  %d -- %d [label="%d"];\n' * g.size % tuple(edges) + "}\n"
+    vertices = _rows('  %d [label="%d"];\n', np.arange(g.order), cert.profile.weights)
+    edges = _rows('  %d -- %d [label="%d"];\n', *g.edges.T, cert.labeling.labels)
+    return "".join(("graph G {\n", vertices, edges, "}\n"))

@@ -366,5 +366,36 @@ class TestWriterLayoutPath:
             raise AssertionError(f"line path taken for {text[:20]!r}")
 
         monkeypatch.setattr(graphs, "_edge_lines", line_path)
-        for g in [make_triangular_book(n) for n in range(1, 301)] + [make_family(*f) for f in FAMILIES]:
+        books = [make_triangular_book(n) for n in [*range(1, 301), 19998, 100000]]
+        for g in books + [make_family(*f) for f in FAMILIES]:
             assert parse_edge_list(format_edge_list(g)) == g
+
+
+# each a boundary of a group of 4 digits, or the int64 extreme
+EDGE_VALUES = [0, 9_999, 10_000, 10**8, 10**16, 2**63 - 1]
+
+
+@st.composite
+def row_columns(draw):
+    """1-3 equal-length columns of non-negative int64, zero rows allowed."""
+    rows = draw(st.integers(0, 12))
+    value = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**63 - 1))
+    return [draw(st.lists(value, min_size=rows, max_size=rows)) for _ in range(draw(st.integers(1, 3)))]
+
+
+class TestRows:
+    """``graphs._rows`` writes what ``%`` writes, row by row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_columns(), st.data())
+    def test_matches_percent_format(self, columns, data):
+        text = st.text(st.characters(min_codepoint=1, max_codepoint=127).filter(lambda c: c != "%"), max_size=4)
+        template = "%d".join(data.draw(st.lists(text, min_size=len(columns) + 1, max_size=len(columns) + 1)))
+        want = "".join(template % row for row in zip(*columns))
+        assert graphs._rows(template, *(np.array(c, dtype=np.int64) for c in columns)) == want
+
+    def test_rows_span_blocks(self):
+        rows = 2 * graphs._BLOCK + 3
+        values = np.arange(rows, dtype=np.int64) ** 3
+        want = "".join("%d,%d;" % row for row in zip(values.tolist(), values[::-1].tolist()))
+        assert graphs._rows("%d,%d;", values, values[::-1]) == want

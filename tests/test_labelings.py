@@ -387,7 +387,7 @@ class TestReaderAgainstReference:
 
     def test_writer_output_never_reaches_json(self, monkeypatch):
         texts = TEXTS + [certificate_to_json(make_certificate(make_triangular_book(1000), irregular_labeling(1000), "irregular"))]
-        for n in range(1, 51):
+        for n in [*range(1, 51), 19998, 100000]:
             for labeling, mode in ((irregular_labeling(n), "irregular"), (modular_labeling(n), "modular")):
                 if labeling is not None:
                     texts.append(certificate_to_json(make_certificate(make_triangular_book(n), labeling, mode)))
