@@ -107,10 +107,10 @@ def _labels(row, n: int) -> np.ndarray:
     out[0] = _value(row[1], n)
     for first, step, last, *sides in row[3]:
         lo = _value(first, n)
-        j = np.arange(_exact_div(_value(last, n) - lo, step) + 1, dtype=np.int64)
+        count = _exact_div(_value(last, n) - lo, step) + 1
         for at, form in zip((lo, n + lo), sides):
-            delta = _exact_div(form[1] * step, form[0])
-            out[at : at + j.size * step : step] = _value(form, n, lo) + j * delta
+            v0, delta = _value(form, n, lo), _exact_div(form[1] * step, form[0])
+            out[at : at + count * step : step] = np.arange(v0, v0 + count * delta, delta) if delta else v0
     return out
 
 

@@ -9,10 +9,11 @@ equal neighbours (duplicates) and rebuilt by ``divmod``. Graphs are
 immutable after construction; the triangular book constructor pins a = 0,
 b = 1 and c_i = i + 1 so emitted certificates are comparable across runs.
 
-Edge-list text in ``format_edge_list``'s own layout is parsed as whole
-arrays; any other text is parsed line by line, which raises every error
-of the grammar, so both paths accept and reject alike. All text codecs
-read numbers through ``_decimals`` and write them through ``_rows``.
+Edge-list text in ``format_edge_list``'s own layout, with LF or CRLF line
+ends, is parsed as whole arrays; any other text is parsed line by line,
+which raises every error of the grammar, so both paths accept and reject
+alike. All text codecs read numbers through ``_decimals`` and write them
+through ``_rows``.
 """
 
 from __future__ import annotations
@@ -254,7 +255,8 @@ def _decimals(raw: bytes, layout: bytes) -> np.ndarray | None:
 
 def parse_edge_list(text: str) -> Graph:
     """``order m``, then exactly m non-blank ``u v`` lines; see the README for the grammar."""
-    fields = _writer_fields(text)
+    # CRLF text in the writer's layout is read whole too; testing for "\r" first spares other text the copy
+    fields = _writer_fields(text.replace("\r\n", "\n") if "\r" in text else text)
     order, edges = _edge_lines(text) if fields is None else fields
     try:
         return Graph(order, edges)

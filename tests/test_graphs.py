@@ -371,6 +371,44 @@ class TestWriterLayoutPath:
             assert parse_edge_list(format_edge_list(g)) == g
 
 
+class TestCrlfEdgeLists:
+    """CRLF line ends: the writer's layout is still read whole, and every error stays as it was."""
+
+    def test_crlf_reads_as_lf(self, monkeypatch):
+        inputs = [make_triangular_book(n) for n in (1, 2, 7, 100000)] + [make_family(*f) for f in FAMILIES]
+        texts = [format_edge_list(g) for g in inputs]
+        lf = [parse_edge_list(text) for text in texts]
+
+        def line_path(text):
+            raise AssertionError(f"line path taken for {text[:20]!r}")
+
+        monkeypatch.setattr(graphs, "_edge_lines", line_path)
+        assert [parse_edge_list(text.replace("\n", "\r\n")) for text in texts] == lf
+
+    # messages taken before CRLF text was tried on the array path
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("3 1\r\n0 3\r\n", "edge endpoint out of range"),
+            ("3 2\r\n0 1\r\n", "expected 2 edge lines, found 1"),
+            ("3 1\r\n1 0\r\n", "edge line '1 0' must satisfy u < v"),
+            ("3 1\r\n0 1 2\r\n", "bad edge line '0 1 2'"),
+            ("3 x\r\n0 1\r\n", "bad header '3 x'"),
+            ("3 2\r\n0 1\r\n0 1\r\n", "duplicate edges are not allowed"),
+            ("3 1\r\n-0 1\r\n", "edge-list numbers must be unsigned ASCII decimals"),
+            ("\r\n\r\n", "empty edge-list input"),
+            ("1000001 1\r\n0 1\r\n", "order 1000001 exceeds supported limit 1000000"),
+            ("3 1\r\n0 1\r\n1 2\r\n", "expected 1 edge lines, found 2"),
+            ("3 1\r\n0 1\r\r\n1 2\r\n", "expected 1 edge lines, found 2"),
+        ],
+    )
+    def test_malformed_crlf_errors(self, text, message):
+        with pytest.raises(FormatError) as got:
+            parse_edge_list(text)
+        assert str(got.value) == message
+        TestParserAgainstReference.check(text)
+
+
 # each a boundary of a group of 4 digits, or the int64 extreme
 EDGE_VALUES = [0, 9_999, 10_000, 10**8, 10**16, 2**63 - 1]
 

@@ -23,7 +23,15 @@ from irrstrength import (
 )
 from irrstrength.books import irregular_labeling
 from irrstrength.graphs import ORDER_LIMIT, _integer_array
-from irrstrength.labelings import LABEL_LIMIT, Certificate, WeightProfile
+from irrstrength.labelings import (
+    IRREGULAR,
+    LABEL_LIMIT,
+    MODULAR,
+    Certificate,
+    Verdict,
+    WeightProfile,
+    verify_profile,
+)
 
 C3 = make_family("cycle", 3)
 
@@ -87,6 +95,16 @@ class TestVertexWeights:
         assert weights.dtype == np.int64 and not weights.flags.writeable
         assert int(weights[0]) == 2 * 10**9
         assert weights[1:].tolist() == [LABEL_LIMIT] * 2000
+
+    def test_star_hub_past_int32_matches_a_python_sum(self):
+        g = make_family("star", 3000)
+        f = EdgeLabeling([LABEL_LIMIT - i for i in range(3000)])
+        expected = [0] * g.order
+        for (u, v), lab in zip(g.edge_tuples(), f.labels.tolist()):
+            expected[u] += lab
+            expected[v] += lab
+        assert expected[0] > 2**31
+        assert vertex_weights(g, f).weights.tolist() == expected
 
     def test_rejects_misaligned_labeling(self):
         with pytest.raises(ValueError, match="covers"):
@@ -158,6 +176,63 @@ class TestVerifyModular:
         g = make_triangular_book(5)
         f = EdgeLabeling([1, 1, 1, 1, 2, 2, 1, 2, 3, 3, 4])
         assert verify_modular(g, f).ok and verify_irregular(g, f).ok
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def weight_lists(draw):
+    """3..64 int64 weights: residue-class permutations shifted by multiples of the order, small values, or any."""
+    size = draw(st.integers(3, 64))
+    kind = draw(st.sampled_from(["classes", "small", "any"]))
+    if kind == "classes":
+        shifts = st.integers(-(2**40), 2**40)
+        weights = [r + size * draw(shifts) for r in draw(st.permutations(range(size)))]
+    else:
+        extremes = st.sampled_from([-(2**63), 2**63 - 1])
+        value = st.integers(-2 * size, 2 * size) if kind == "small" else st.one_of(INT64, extremes)
+        weights = draw(st.lists(value, min_size=size, max_size=size))
+    if draw(st.booleans()):  # one weight copied onto another
+        weights[draw(st.integers(0, size - 1))] = weights[draw(st.integers(0, size - 1))]
+    return weights
+
+
+def first_repeat(values):
+    """The earliest j whose value occurred before, with that first occurrence i, as (i, j)."""
+    for j, value in enumerate(values):
+        if value in values[:j]:
+            return values.index(value), j
+    return None
+
+
+class TestVerifyProfile:
+    """``verify_profile`` on hand-built profiles against the two definitions."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(weight_lists())
+    def test_matches_the_definitions(self, weights):
+        n = len(weights)
+        profile = WeightProfile(weights=np.array(weights, dtype=np.int64))
+        residues = [w % n for w in weights]
+        assert profile.residues.tolist() == residues
+        cases = (
+            (IRREGULAR, weights, len(set(weights)) == n, "duplicate-weight"),
+            (MODULAR, residues, sorted(residues) == list(range(n)), "residue-collision"),
+        )
+        for mode, values, ok, kind in cases:
+            verdict = verify_profile(profile, mode)
+            assert verdict == (Verdict(ok=True) if ok else Verdict(ok=False, kind=kind, pair=first_repeat(values)))
+
+    # taken before the modular verdict marked residues in a bitmap
+    def test_modular_pins_at_b_99999(self):
+        n = 99999
+        g, f = make_triangular_book(n), modular_labeling(n)
+        assert verify_modular(g, f) == Verdict(ok=True)
+        labels = f.labels.copy()
+        labels[[1, 2 * n]] = labels[[2 * n, 1]]  # ac_1 and bc_n swap their labels 1 and 50000
+        verdict = verify_modular(g, EdgeLabeling(labels))
+        assert verdict == Verdict(ok=False, kind="residue-collision", pair=(0, 49999))
 
 
 class TestCertificateJson:
