@@ -3,7 +3,7 @@
 Label vectors follow the canonical edge order of ``make_triangular_book``:
 ab first, then ac_1..ac_n, then bc_1..bc_n. Each construction of Theorem 1
 (irregular) or 2 (modular) is one row of integer coefficients. ``_case``,
-the single dispatch on the page count, picks the row of n in ``_SMALL``,
+the single dispatch on the page count, returns the row of n in ``_SMALL``,
 else the row of n mod 8 in ``_BY_RESIDUE`` (None: no labeling exists), and
 one evaluator, ``_labels``, reads every row.
 
@@ -26,9 +26,6 @@ that they give the stated labelings for every n >= 8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -45,15 +42,6 @@ def _exact_div(value: int, divisor: int) -> int:
 def _value(form: tuple[int, ...], n: int, i: int = 0) -> int:
     d, ci, c0, c1, c2 = form + (0,) * (5 - len(form))
     return _exact_div(ci * i + c0 + (c1 + c2 * n) * n, d)
-
-
-@dataclass(frozen=True)
-class _Case:
-    """One construction: strength, a label builder and the row's weights (both None without a labeling)."""
-
-    strength: int | float
-    labels: Callable[[], np.ndarray] | None
-    weights: tuple[int, ...] | None
 
 
 # Theorem 1, n >= 2: odd pages get (i+1)/2 twice, even pages i/2 and i/2 + 1
@@ -114,25 +102,24 @@ def _labels(row, n: int) -> np.ndarray:
     return out
 
 
-def _case(theorem: int, n: int) -> _Case:
-    """The construction of Theorem ``theorem`` (1: irregular, 2: modular) for B_n."""
+def _case(theorem: int, n: int) -> tuple[tuple | None, int]:
+    """``(row, n)``: Theorem ``theorem``'s row for B_n (None: no labeling exists) and n as an int."""
     n, theorem = _integer(n, "page count", 1), _integer(theorem, "theorem", 1)
     if theorem > 2:
         raise ValueError(f"theorem must be 1 or 2, got {theorem}")
-    row = _SMALL.get((theorem, n), _BY_RESIDUE[theorem][n % 8])
-    if row is None:
-        return _Case(math.inf, None, None)
-    return _Case(_value(row[0], n), partial(_labels, row, n), tuple(_value(w, n) for w in row[2]))
+    return _SMALL.get((theorem, n), _BY_RESIDUE[theorem][n % 8]), n
 
 
 def irregular_strength(n: int) -> int:
     """Minimum k admitting an irregular assignment of the n-page book."""
-    return _case(1, n).strength
+    row, n = _case(1, n)
+    return _value(row[0], n)
 
 
 def modular_strength(n: int) -> int | float:
     """Minimum k admitting a modular irregular labeling; inf when none exists."""
-    return _case(2, n).strength
+    row, n = _case(2, n)
+    return math.inf if row is None else _value(row[0], n)
 
 
 def irregular_labeling(n: int) -> EdgeLabeling:
@@ -141,7 +128,7 @@ def irregular_labeling(n: int) -> EdgeLabeling:
     For n >= 2 the page weights are w(c_i) = i + 1 and the two centers get
     the largest weights, with w(a) < w(b).
     """
-    return EdgeLabeling(_case(1, n).labels())
+    return EdgeLabeling(_labels(*_case(1, n)))
 
 
 def modular_labeling(n: int) -> EdgeLabeling | None:
@@ -149,8 +136,8 @@ def modular_labeling(n: int) -> EdgeLabeling | None:
 
     Returns None for n divisible by 4 (order 2 mod 4: no such labeling).
     """
-    case = _case(2, n)
-    return None if case.labels is None else EdgeLabeling(case.labels())
+    row, n = _case(2, n)
+    return None if row is None else EdgeLabeling(_labels(row, n))
 
 
 def predicted_weights(n: int, theorem: int = 2) -> WeightProfile:
@@ -160,10 +147,10 @@ def predicted_weights(n: int, theorem: int = 2) -> WeightProfile:
     (with the n = 1 triangle carrying 4, 5, 3 on a, b, c_1); the center
     weights come from per-residue-class quadratics.
     """
-    case = _case(theorem, n)
-    if case.weights is None:
+    row, n = _case(theorem, n)
+    if row is None:
         raise ValueError(f"no modular labeling for n = {n} (divisible by 4)")
-    head = np.array(case.weights, dtype=np.int64)
+    head = np.array([_value(w, n) for w in row[2]], dtype=np.int64)
     # vertex j >= 2 is page c_{j-1}, of weight j; the triangle lists all three
     weights = np.concatenate([head, np.arange(head.size, n + 2, dtype=np.int64)])
     weights.setflags(write=False)

@@ -203,10 +203,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _HANDLERS[args.verb](args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

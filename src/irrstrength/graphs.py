@@ -55,22 +55,18 @@ class Graph:
             if np.any(key[1:] == key[:-1]):
                 raise ValueError("duplicate edges are not allowed")
             arr = np.stack(divmod(key, order), axis=1)
-        arr.setflags(write=False)
-        self.order = order
-        self._edges = arr
-        self._degrees = None
-        self._runs = None
+        self._set(order, arr)
 
     @classmethod
     def _from_canonical(cls, order: int, arr: np.ndarray) -> "Graph":
         # trusted constructor for generators whose output is canonical by design
-        g = cls.__new__(cls)
+        return cls.__new__(cls)._set(order, arr)
+
+    def _set(self, order: int, arr: np.ndarray) -> "Graph":
+        """Freeze the canonical ``arr`` and fill every slot, the lazy ones empty; returns self."""
         arr.setflags(write=False)
-        g.order = order
-        g._edges = arr
-        g._degrees = None
-        g._runs = None
-        return g
+        self.order, self._edges, self._degrees, self._runs = order, arr, None, None
+        return self
 
     @property
     def edges(self) -> np.ndarray:

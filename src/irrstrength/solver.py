@@ -35,7 +35,6 @@ is cross-checked against; its docstring says how it enumerates.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from dataclasses import dataclass
 
@@ -117,7 +116,6 @@ def _search_plan(g: Graph) -> list[tuple]:
 
     unassigned = set(range(g.size))
     at = [{} for _ in range(g.order)]  # at[u][w]: the step of edge {u, w}
-    masks = [0] * g.order  # each vertex's neighbours as a bitmask
     plan = []
     while unassigned:
         e = min(unassigned, key=rank)
@@ -126,12 +124,11 @@ def _search_plan(g: Graph) -> list[tuple]:
         remaining[u] -= 1
         remaining[v] -= 1
         at[u][v] = at[v][u] = len(plan)
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
         closing = tuple(w for w in (u, v) if not remaining[w])
         plan.append((e, u, v, closing, tuple((w, remaining[w]) for w in (u, v) if remaining[w]), []))
     last = {}  # the latest vertex with each open (key >= 0) or closed neighbourhood
-    for v, mask in enumerate(masks):
+    for v in range(g.order):
+        mask = sum(1 << w for w in at[v])  # v's neighbours as a bitmask
         for key in (mask, ~(mask | 1 << v)):
             u = last.get(key)
             last[key] = v
@@ -167,59 +164,64 @@ def _span(g: Graph, mode: str, k: int) -> int:
 
 
 def _search(plan, order: int, k: int, span: int):
-    """Depth-first search over ``plan`` with labels in 1..k.
+    """Depth-first search over ``plan`` with labels in 1..k, as one loop over the steps.
 
-    Returns (canonical labels of the first solution or None, nodes). A step
-    starts at ``_least_label`` of its ``twins``. A closed vertex's value,
-    its weight mod ``span`` (``_span``), must differ from every other's.
-    The values taken so far are one int bitmask. An endpoint in a step's
-    ``opened`` with weight w and r unassigned edges can still reach only
-    [w + r, w + r*k] (mod ``span``), of which the first ``order`` values
-    are checked; a step that leaves every checked value taken is cut.
+    Returns (canonical labels of the first solution or None, nodes).
+    ``labels[i]`` is the label step i holds, 0 for none: a visit takes it
+    back from both endpoints' weights and tries the next, or, entered
+    afresh, ``_least_label`` of the step's ``twins``; a step out of labels
+    resets to 0 and the search returns to step i - 1. A closed vertex's
+    value, its weight mod ``span`` (``_span``), must differ from every
+    other's; ``finals[i]`` is the one int bitmask of the values of the
+    vertices closed before step i. An endpoint in a step's ``opened`` with
+    weight w and r unassigned edges can still reach only [w + r, w + r*k]
+    (mod ``span``), of which the first ``order`` values are checked; a
+    label that leaves every checked value taken is cut.
     """
     size = len(plan)
     labels = [0] * size  # in plan order
+    finals = [0] * (size + 1)
     weights = [0] * order
     # runs[r]: the r*(k - 1) + 1 values a vertex with r open edges can reach, as
     # a run of bits from bit 0, at most ``order`` of them: an open vertex holds no
     # value, so at most order - 1 are taken and any ``order`` in a row hold a free one
     runs = [(1 << min(r * (k - 1) + 1, order)) - 1 for r in range(order)]
     nodes = 0
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), size + 100))
-
-    def descend(i: int, finals: int) -> bool:
-        nonlocal nodes
-        if i == size:
-            return True
+    i = 0
+    while 0 <= i < size:
         _, u, v, closing, opened, twins = plan[i]
-        for lab in range(_least_label(twins, labels, i) if twins else 1, k + 1):
-            nodes += 1
-            labels[i] = lab
-            weights[u] += lab
-            weights[v] += lab
-            taken = finals
-            for w in closing:
-                bit = 1 << weights[w] % span
-                if taken & bit:
-                    break
-                taken |= bit
-            else:
-                # a run that wraps past the span is matched against the taken bits twice over
-                free = ~(taken | taken << span)
-                for w, r in opened:
-                    if not runs[r] << (weights[w] + r) % span & free:
-                        break
-                else:
-                    del free  # else every frame down the descent keeps its 2 * span bits
-                    if descend(i + 1, taken):
-                        return True
+        lab = labels[i]
+        if lab:
             weights[u] -= lab
             weights[v] -= lab
-        return False
-
-    if not descend(0, 0):
+            lab += 1
+        else:
+            lab = _least_label(twins, labels, i) if twins else 1
+        if lab > k:
+            labels[i] = 0
+            i -= 1
+            continue
+        nodes += 1
+        labels[i] = lab
+        weights[u] += lab
+        weights[v] += lab
+        taken = finals[i]
+        for w in closing:
+            bit = 1 << weights[w] % span
+            if taken & bit:
+                break
+            taken |= bit
+        else:
+            # a run that wraps past the span is matched against the taken bits twice over
+            free = ~(taken | taken << span)
+            for w, r in opened:
+                if not runs[r] << (weights[w] + r) % span & free:
+                    break
+            else:
+                i += 1
+                finals[i] = taken
+    if i < 0:
         return None, nodes
-    # a solution returns before its labels are undone
     canonical = np.empty(size, dtype=np.int64)
     canonical[[step[0] for step in plan]] = labels
     return canonical, nodes
@@ -239,15 +241,10 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     cfg = cfg or SolverConfig()
     start = time.monotonic()
 
-    if mode == MODE_S and has_small_component(g):
+    if modular_infinite(g) if mode == MODE_MS else has_small_component(g):
         return StrengthResult(mode=mode, outcome=INFINITE, elapsed=time.monotonic() - start)
-    if mode == MODE_MS:
-        if modular_infinite(g):
-            return StrengthResult(mode=mode, outcome=INFINITE, elapsed=time.monotonic() - start)
-        if has_small_component(g):
-            raise ValueError(
-                "modular strength undefined for graphs with a component of order <= 2"
-            )
+    if mode == MODE_MS and has_small_component(g):
+        raise ValueError("modular strength undefined for graphs with a component of order <= 2")
 
     lb = _counting_bound(g)
     k_max = cfg.k_max if cfg.k_max is not None else 2 * g.order + 2

@@ -16,7 +16,7 @@ from irrstrength import (
     verify_modular,
     vertex_weights,
 )
-from irrstrength.books import _case
+from irrstrength.books import _case, _labels, _value
 
 
 class TestStrengthFormulas:
@@ -178,23 +178,23 @@ class TestCaseClassification:
         ],
     )
     def test_dispatch(self, theorem, n, tag):
-        case = _case(theorem, n)
+        row, n = _case(theorem, n)
         if tag == "infinite":
-            assert (case.strength, case.labels, case.weights) == (math.inf, None, None)
+            assert row is None
             return
         g = make_triangular_book(n)
-        f = EdgeLabeling(case.labels())
+        f = EdgeLabeling(_labels(row, n))
         verify = verify_irregular if theorem == 1 else verify_modular
         assert verify(g, f).ok
-        assert f.k == case.strength
-        weights = vertex_weights(g, f).weights.tolist()
-        assert weights[: len(case.weights)] == list(case.weights)
+        assert f.k == _value(row[0], n)
+        head = [_value(w, n) for w in row[2]]
+        assert vertex_weights(g, f).weights.tolist()[: len(head)] == head
 
     @pytest.mark.parametrize("theorem", [1, 2])
     def test_total_over_all_pages(self, theorem):
         for n in range(1, 400):
-            case = _case(theorem, n)
-            assert (case.labels is None) == (case.weights is None) == (case.strength == math.inf)
+            row, m = _case(theorem, n)
+            assert m == n and (row is None) == (theorem == 2 and n % 4 == 0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

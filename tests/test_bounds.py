@@ -63,6 +63,9 @@ class TestSmallComponents:
     def test_path_two(self):
         assert has_small_component(make_family("path", 2))
 
+    def test_empty_graph(self):
+        assert not has_small_component(Graph(0, []))
+
 
 class TestLowerBoundS:
     def test_book_five(self):

@@ -45,6 +45,11 @@ class TestBookVerb:
         assert code == 2
         assert "error" in err
 
+    def test_rejects_order_past_the_limit(self, capsys):
+        code, _, err = invoke(capsys, "book", "--n", "999999")
+        assert code == 2
+        assert "exceeds supported limit" in err
+
 
 class TestLabelVerb:
     def test_modular_certificate(self, capsys):
@@ -189,13 +194,14 @@ class TestVerifyVerb:
             ("edges", None),
             ("edges", [[0.9, 1.5], [0, 2], [1, 2]]),  # would truncate to the triangle
             ("edges", [[False, True], [0, 2], [1, 2]]),
+            ("edges", [0, 1, 0, 2, 1, 2]),
             ("labels", [3, True, 2]),  # would read as the valid [3, 1, 2]
             ("weights", [4.7, 5.2, 3.9]),
             ("residues", [1.0, 2.0, 0.0]),
             ("k", 3.0),
         ],
         ids=["float-labels", "string-labels", "label-2^70", "edges-null", "float-edges",
-             "bool-edges", "bool-labels", "float-weights", "float-residues", "float-k"],
+             "bool-edges", "flat-edges", "bool-labels", "float-weights", "float-residues", "float-k"],
     )
     def test_non_integer_input_is_format_error(self, capsys, tmp_path, field, value):
         doc = {"order": 3, "edges": [[0, 1], [0, 2], [1, 2]], "labels": [3, 1, 2],

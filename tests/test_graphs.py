@@ -64,6 +64,11 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match=message):
             Graph(order, edges)
 
+    @pytest.mark.parametrize("edges", [[0, 1], [(0, 1, 2)]], ids=["flat", "triple"])
+    def test_rejects_edges_that_are_not_pairs(self, edges):
+        with pytest.raises(ValueError, match="edges must be a sequence of vertex pairs"):
+            Graph(3, edges)
+
     def test_accepts_numpy_integers(self):
         g = Graph(np.int64(3), np.array([[0, 2]], dtype=np.uint8))
         assert g.order == 3 and g.edge_tuples() == [(0, 2)] and g.edges.dtype == np.int64
@@ -158,6 +163,10 @@ class TestTriangularBook:
     def test_rejects_zero_pages(self):
         with pytest.raises(ValueError):
             make_triangular_book(0)
+
+    def test_rejects_order_past_the_limit(self):
+        with pytest.raises(ValueError, match="exceeds supported limit"):
+            make_triangular_book(999_999)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 131])
     def test_degree_shape(self, n):

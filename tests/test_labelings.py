@@ -30,6 +30,7 @@ from irrstrength.labelings import (
     Certificate,
     Verdict,
     WeightProfile,
+    _writer_doc,
     verify_profile,
 )
 
@@ -64,6 +65,10 @@ class TestEdgeLabeling:
     def test_label_past_int64_is_value_error(self):
         with pytest.raises(ValueError, match="exceeds supported limit"):
             EdgeLabeling([1, 2**70])
+
+    def test_rejects_nested_labels(self):
+        with pytest.raises(ValueError, match="flat sequence"):
+            EdgeLabeling([[1, 2]])
 
     def test_labels_read_only(self):
         f = EdgeLabeling([1, 2])
@@ -224,6 +229,11 @@ class TestVerifyProfile:
             verdict = verify_profile(profile, mode)
             assert verdict == (Verdict(ok=True) if ok else Verdict(ok=False, kind=kind, pair=first_repeat(values)))
 
+    def test_rejects_unknown_mode(self):
+        profile = vertex_weights(C3, EdgeLabeling([1, 2, 3]))
+        with pytest.raises(ValueError, match="unknown mode"):
+            verify_profile(profile, "bogus")
+
     # taken before the modular verdict marked residues in a bitmap
     def test_modular_pins_at_b_99999(self):
         n = 99999
@@ -299,6 +309,21 @@ class TestCertificateJson:
         doc = json.loads(certificate_to_json(cert))
         doc["mode"] = "total"
         with pytest.raises(FormatError, match="mode"):
+            certificate_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("order", [3], "certificate order missing or out of range"),
+            ("order", 1_000_001, "certificate order missing or out of range"),
+            ("edges", [0, 1, 0, 2, 1, 2], "edges must be a sequence of vertex pairs"),
+        ],
+        ids=["order-list", "order-past-limit", "flat-edges"],
+    )
+    def test_rejects_malformed_field(self, field, value, message):
+        doc = json.loads(certificate_to_json(make_certificate(C3, EdgeLabeling([1, 2, 3]), "modular")))
+        doc[field] = value
+        with pytest.raises(FormatError, match=message):
             certificate_from_json(json.dumps(doc))
 
     def test_rejects_junk(self):
@@ -476,6 +501,11 @@ class TestReaderAgainstReference:
                 # ASCII bytes take the same whole-array path as str
                 for read in (padded, padded.encode()):
                     assert certificate_to_json(certificate_from_json(read)) == text
+
+    def test_non_ascii_text_goes_to_json(self):
+        text = TEXTS[0].replace('"irregular"', '"irrégular"')
+        assert _writer_doc(text) is None and _writer_doc(text.encode()) is None
+        self.check(text)
 
     @staticmethod
     def check(text):

@@ -245,9 +245,9 @@ class TestBookConstructionProperties:
 
     @given(st.integers(1, 10**6), st.sampled_from([1, 2]))
     def test_case_tags_total(self, n, theorem):
-        # every page count has a case; labels and weights exist iff s is finite
-        case = _case(theorem, n)
-        assert (case.labels is None) == (case.weights is None) == (case.strength == math.inf)
+        # every page count has a row, None (no labeling) exactly for Theorem 2 at n = 0 mod 4
+        row, m = _case(theorem, n)
+        assert m == n and (row is None) == (theorem == 2 and n % 4 == 0)
 
     @given(st.integers(2, 2000))
     def test_bound_closed_form_for_books(self, n):

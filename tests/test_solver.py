@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -58,9 +59,8 @@ class TestSolveBooks:
         assert result.nodes < 2_000
 
     def test_deep_irregular_search_stays_small(self):
-        # 1,201 steps deep, past the default recursion limit. Frames that keep their
-        # doubled value mask through the descent peak at 29 MB, runs wider than the
-        # order at 8 MB
+        # 1,201 steps deep. A doubled value mask kept for every step down the descent
+        # peaks at 29 MB, runs wider than the order at 8 MB
         g = make_triangular_book(600)
         tracemalloc.start()
         try:
@@ -70,6 +70,16 @@ class TestSolveBooks:
             tracemalloc.stop()
         assert result.k == irregular_strength(600) == 301
         assert peak < 4 * 2**20
+
+    def test_deep_search_leaves_the_recursion_limit(self):
+        # set first: an earlier deep solve in this process may have raised it already
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert solve(make_triangular_book(600), "s").k == 301
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(old)
 
     def test_modular_agreement_skipping_infinite(self):
         for n in (1, 2, 3, 5, 6):
