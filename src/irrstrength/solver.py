@@ -4,14 +4,14 @@ Search runs iterative deepening on the max label k, starting from the
 counting lower bound. Each ``solve`` call builds one search plan and
 reuses it at every k: a greedy edge order that always takes next the edge
 closing the most vertices, so that vertices become final early. A step is
-(e, u, v, closing, opened, twins): the edge, its endpoints, those it
-closes, those it leaves open with their counts of unassigned edges, and
-the twin transpositions checked there. A vertex whose incident edges are
-all assigned is final, and its value, its weight mod a span (``_span``,
-the oracle's rule too), must differ from every other final vertex,
-otherwise the branch is cut. The first full assignment in search-order DFS
-is mapped back to canonical edge order and returned, so the minimal
-feasible k yields a deterministic certificate.
+(e, u, v, closing, opened, twins, front): the edge, its endpoints, those
+it closes, those it leaves open with their counts of unassigned edges, the
+twin transpositions checked there, and its frontier. A vertex whose
+incident edges are all assigned is final, and its value, its weight mod a
+span (``_span``, the oracle's rule too), must differ from every other
+final vertex, otherwise the branch is cut. The first full assignment in
+search-order DFS is mapped back to canonical edge order and returned, so
+the minimal feasible k yields a deterministic certificate.
 The values closed vertices took are kept as one int bitmask. A vertex
 still open, with weight w and r unassigned edges, can end only in
 [w + r, w + r*k] (mod the span); after each label, the search cuts the
@@ -25,7 +25,19 @@ members of a twin class, search skips every label that would make the
 labels so far lex-greater, in plan order, than their image under (u v)
 (lex-leader symmetry breaking). That image is valid too, so the first
 solution in DFS order is never lex-greater: certificates stay the same.
-Neither cut removes a valid labeling, and k starts at the degree-range
+The subtree below a step depends only on the step, the values taken and
+the weights (mod the span) of its frontier, the vertices earlier steps
+touched and left open. When a step runs out of labels, that state goes
+into a table of failed subtrees, and a later entry in the same state
+returns at once (nogood recording, Dechter 1990, keyed by the state of
+frontier-based search). Steps inside a twin transposition's span get no
+key, as their twin cut reads labels set before them, so books, where the
+a <-> b swap spans the whole plan, search as without the table. On the
+benchmark's random corpus (20 graphs of order 8-11, both modes) the table
+cuts the nodes from 176,973 to 70,507, and on its graph 10 in ``ms`` from
+150,280 to 49,670. The table holds at most ``_FAILED_CAP`` keys and is
+emptied when full.
+No cut removes a valid labeling, and k starts at the degree-range
 counting bound, below which none exists, so the certificate is the same
 as that of the plain DFS.
 ``count_labelings`` is the independent full-enumeration oracle the search
@@ -62,6 +74,7 @@ UNKNOWN = "unknown"
 _COUNT_BUDGET = 2**24  # assignments one count_labelings call may check
 _COUNT_BLOCK = 1 << 15  # assignments checked per numpy batch
 _MASK_BITS = 64  # widest value span checked as one bitmask per assignment
+_FAILED_CAP = 1 << 18  # failed-subtree keys one search holds before it clears them
 
 
 @dataclass
@@ -98,13 +111,18 @@ class StrengthResult:
 def _search_plan(g: Graph) -> list[tuple]:
     """One step per edge, in the order the search assigns them.
 
-    A step is (canonical edge index, u, v, closing, opened, twins): the
-    endpoints whose last unassigned edge this is, each other endpoint as
-    (vertex, number of unassigned edges), and a list of the twin
+    A step is (canonical edge index, u, v, closing, opened, twins, front):
+    the endpoints whose last unassigned edge this is, each other endpoint as
+    (vertex, number of unassigned edges), a list of the twin
     transpositions with a cycle of steps ending here, each as all its
-    cycles (p, q), p < q, sorted by p. Each step takes the unassigned edge that closes the most
-    vertices; ties go to the smallest sum of the endpoints' unassigned
-    degrees, then to the lowest index.
+    cycles (p, q), p < q, sorted by p, and the step's frontier: the
+    vertices earlier steps touched and did not close, in first-touch order.
+    ``front`` is None on the steps j with min p < j <= max q for some
+    transposition, whose subtree reads, through ``_least_label``, labels
+    of steps before j; ``_search`` keys its failed-subtree table only on
+    the other steps. Each step takes the unassigned edge that closes the
+    most vertices; ties go to the smallest sum of the endpoints'
+    unassigned degrees, then to the lowest index.
     """
     ends = g.edge_tuples()
     remaining = g.degrees().tolist()
@@ -126,6 +144,7 @@ def _search_plan(g: Graph) -> list[tuple]:
         at[u][v] = at[v][u] = len(plan)
         closing = tuple(w for w in (u, v) if not remaining[w])
         plan.append((e, u, v, closing, tuple((w, remaining[w]) for w in (u, v) if remaining[w]), []))
+    covered = [0] * (len(plan) + 1)  # difference array of the spans (min p, max q] twins read across
     last = {}  # the latest vertex with each open (key >= 0) or closed neighbourhood
     for v in range(g.order):
         mask = sum(1 << w for w in at[v])  # v's neighbours as a bitmask
@@ -135,8 +154,22 @@ def _search_plan(g: Graph) -> list[tuple]:
             if u is not None:
                 pairs = [(p, at[v][w]) for w, p in at[u].items() if w != v]
                 cycles = tuple(sorted([(p, q) if p < q else (q, p) for p, q in pairs]))
+                top = -1  # the last step of a cycle, none for twins with no neighbour but each other
                 for _, q in cycles:
                     plan[q][5].append(cycles)
+                    if q > top:
+                        top = q
+                if top >= 0:
+                    covered[cycles[0][0] + 1] += 1
+                    covered[top + 1] -= 1
+    depth = 0
+    touched = {}  # the vertices earlier steps touched and did not close, in first-touch order
+    for j, (e, u, v, closing, opened, twins) in enumerate(plan):
+        depth += covered[j]
+        plan[j] = (e, u, v, closing, opened, twins, None if depth else tuple(touched))
+        touched[u] = touched[v] = None
+        for w in closing:
+            del touched[w]
     return plan
 
 
@@ -163,7 +196,7 @@ def _span(g: Graph, mode: str, k: int) -> int:
     return g.order if mode == MODE_MS else k * int(g.degrees().max()) + 1
 
 
-def _search(plan, order: int, k: int, span: int):
+def _search(plan, order: int, k: int, span: int, wrap: int):
     """Depth-first search over ``plan`` with labels in 1..k, as one loop over the steps.
 
     Returns (canonical labels of the first solution or None, nodes).
@@ -176,11 +209,24 @@ def _search(plan, order: int, k: int, span: int):
     vertices closed before step i. An endpoint in a step's ``opened`` with
     weight w and r unassigned edges can still reach only [w + r, w + r*k]
     (mod ``span``), of which the first ``order`` values are checked; a
-    label that leaves every checked value taken is cut.
+    label that leaves every checked value taken is cut. A run that wraps
+    past the span is matched against the taken bits shifted by ``wrap``
+    too: ``span`` in ``ms``, 0 in ``s``, where every run ends below k * max
+    degree + 1 = span.
+
+    Below a step with a ``front``, the search depends only on i,
+    ``finals[i]`` and the front's weights mod ``span``, packed into one int
+    key. A keyed step that runs out of labels adds its key to ``failed``;
+    a keyed step entered afresh with a failed key returns to step i - 1 at
+    once and counts no node. Only subtrees without a solution are skipped,
+    in unchanged DFS order, so the first solution is the same. ``failed``
+    is cleared when it holds ``_FAILED_CAP`` keys.
     """
     size = len(plan)
     labels = [0] * size  # in plan order
     finals = [0] * (size + 1)
+    keys = [0] * size  # each keyed step's key, as last entered
+    failed = set()
     weights = [0] * order
     # runs[r]: the r*(k - 1) + 1 values a vertex with r open edges can reach, as
     # a run of bits from bit 0, at most ``order`` of them: an open vertex holds no
@@ -189,16 +235,29 @@ def _search(plan, order: int, k: int, span: int):
     nodes = 0
     i = 0
     while 0 <= i < size:
-        _, u, v, closing, opened, twins = plan[i]
+        _, u, v, closing, opened, twins, front = plan[i]
         lab = labels[i]
         if lab:
             weights[u] -= lab
             weights[v] -= lab
             lab += 1
         else:
+            if front is not None:
+                key = finals[i]
+                for w in front:
+                    key = key * span + weights[w] % span
+                key = key * size + i
+                if key in failed:
+                    i -= 1
+                    continue
+                keys[i] = key
             lab = _least_label(twins, labels, i) if twins else 1
         if lab > k:
             labels[i] = 0
+            if front is not None:
+                if len(failed) >= _FAILED_CAP:
+                    failed.clear()
+                failed.add(keys[i])
             i -= 1
             continue
         nodes += 1
@@ -212,8 +271,7 @@ def _search(plan, order: int, k: int, span: int):
                 break
             taken |= bit
         else:
-            # a run that wraps past the span is matched against the taken bits twice over
-            free = ~(taken | taken << span)
+            free = ~(taken | taken << wrap)
             for w, r in opened:
                 if not runs[r] << (weights[w] + r) % span & free:
                     break
@@ -254,7 +312,8 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     plan = _search_plan(g)
     nodes = 0
     for k in range(lb, k_max + 1):
-        best, searched = _search(plan, g.order, k, _span(g, mode, k))
+        span = _span(g, mode, k)
+        best, searched = _search(plan, g.order, k, span, span if mode == MODE_MS else 0)
         nodes += searched
         if best is not None:
             cert = make_certificate(g, EdgeLabeling(best), MODULAR if mode == MODE_MS else IRREGULAR)

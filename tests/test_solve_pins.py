@@ -5,7 +5,9 @@ The search returns the first valid labeling in plan order, and a pruned
 branch only ever holds labelings lex-greater than their image under a
 graph automorphism, so every byte of every certificate must stay the same.
 The enumeration oracle's counts on the same graphs are pinned too, taken
-before it checked distinctness as a bitmask.
+before it checked distinctness as a bitmask. The failed-subtree table skips
+only subtrees without a solution, so it moves no digest either, even when
+its cap keeps clearing it.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import random
 
 import pytest
 
-from irrstrength import count_labelings, make_triangular_book, solve
+from irrstrength import count_labelings, make_triangular_book, solve, solver
 
 from conftest import random_solid_graph
 
@@ -44,6 +46,28 @@ PINS = {
 @pytest.mark.parametrize("name, mode", sorted(PINS))
 def test_solve_results_are_byte_identical(name, mode):
     assert solve_digest(name, mode) == PINS[name, mode]
+
+
+@pytest.mark.parametrize("name, mode", sorted(PINS))
+def test_clearing_the_failed_table_keeps_every_certificate(name, mode, monkeypatch):
+    monkeypatch.setattr(solver, "_FAILED_CAP", 100)
+    assert solve_digest(name, mode) == PINS[name, mode]
+
+
+# graph 1 of random_solid_graph(random.Random(1), 13, 16, 0.3), order 15 and
+# size 35, k = 3 in both modes; in ms it finishes only with the failed table
+GRAPH_ONE_PINS = {
+    "s": "c496af1b6997563284f02c90d7b47c9f4b74920811cd137982ce34b6b1ab00e7",
+    "ms": "279a8f02fc77c53eade48d13c8d4a7fa9a188c370dd7ad4a3d7d7b8971bf9175",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GRAPH_ONE_PINS))
+def test_graph_one_is_pinned(mode):
+    rng = random.Random(1)
+    g = [random_solid_graph(rng, 13, 16, 0.3) for _ in range(2)][1]
+    assert (g.order, g.size) == (15, 35)
+    assert hashlib.sha256(solve(g, mode).to_json().encode("ascii")).hexdigest() == GRAPH_ONE_PINS[mode]
 
 
 # (graph index, mode, j): count_labelings at j = k and j = k - 1, k the solved

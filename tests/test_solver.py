@@ -40,8 +40,8 @@ def _pinned_corpus():
 NODE_PINS = {
     ("books", "s"): [17, 10, 10, 14, 19, 24, 30, 36, 43, 50, 58, 66, 75, 84, 94, 104, 115, 126],
     ("books", "ms"): [17, 10, 10, 0, 397, 134, 244, 0, 118, 71, 58, 0, 4708, 2536, 1998, 0, 352, 157],
-    ("random", "s"): [1513, 1247, 285, 265, 36, 85, 100, 54, 20, 1966, 756, 274, 21, 1421, 152, 168, 133, 57, 41, 40],
-    ("random", "ms"): [1513, 1271, 0, 265, 33, 7867, 0, 0, 82, 0, 150_280, 837, 27, 1409, 2562, 168, 0, 57, 1968, 0],
+    ("random", "s"): [1209, 951, 231, 258, 36, 85, 91, 54, 20, 884, 498, 241, 21, 991, 146, 120, 127, 57, 41, 40],
+    ("random", "ms"): [1209, 975, 0, 258, 33, 7804, 0, 0, 79, 0, 49_670, 633, 27, 979, 1680, 120, 0, 57, 882, 0],
 }
 
 
@@ -296,10 +296,30 @@ class TestSearchOrder:
             closed = [w for _, _, _, closing, *_ in plan for w in closing]
             assert sorted(closed) == np.flatnonzero(g.degrees()).tolist()
             # opened: each endpoint left with unassigned edges, recounted from the later steps
-            for i, (_, u, v, closing, opened, _) in enumerate(plan):
+            for i, (_, u, v, closing, opened, *_) in enumerate(plan):
                 later = collections.Counter(x for _, a, b, *_ in plan[i + 1 :] for x in (a, b))
                 assert opened == tuple((w, later[w]) for w in (u, v) if later[w])
                 assert closing == tuple(w for w in (u, v) if not later[w])
+
+    def test_fronts_are_the_open_touched_vertices_outside_twin_spans(self):
+        # a step's front: the vertices earlier steps touched and did not close,
+        # in first-touch order; None exactly inside some twin transposition's
+        # [min p + 1, max q]
+        rng = random.Random(7)
+        graphs = [make_triangular_book(n) for n in (1, 2, 7)] + [make_family("cycle", 6)]
+        graphs += [Graph(4, list(itertools.combinations(range(4), 2)))]
+        graphs += [random_solid_graph(rng, 5, 11, 0.3) for _ in range(20)]
+        kinds = collections.Counter()
+        for g in graphs:
+            plan = _search_plan(g)
+            swaps = {cycles for step in plan for cycles in step[5]}
+            for j, step in enumerate(plan):
+                inside = any(cycles[0][0] < j <= max(q for _, q in cycles) for cycles in swaps)
+                touched = dict.fromkeys(w for _, a, b, *_ in plan[:j] for w in (a, b))
+                closed = {w for _, _, _, closing, *_ in plan[:j] for w in closing}
+                assert step[6] == (None if inside else tuple(w for w in touched if w not in closed))
+                kinds[inside] += 1
+        assert kinds[True] and kinds[False]
 
     def test_minimal_k_agrees_with_enumeration(self):
         rng = random.Random(2024)
@@ -383,11 +403,25 @@ def _is_valid(g, labels, mode: str) -> bool:
     return len({w % g.order for w in weights}) == g.order
 
 
+def _planted_twins(rng, order: int) -> Graph:
+    """A random graph on ``order`` vertices whose last vertex is a false twin of vertex 0."""
+    g = random_solid_graph(rng, order - 1, order - 1, 0.3)
+    ends = g.edge_tuples()
+    return Graph(order, ends + [(v, order - 1) for u, v in ends if u == 0])
+
+
 class TestLexFirst:
     def test_certificate_is_the_first_valid_labeling_in_plan_order(self):
-        # twin pruning must keep the first labeling of the unpruned DFS, on
-        # twin-rich graphs and on random ones
-        twin_rich = [
+        # twin pruning and the failed-subtree table must keep the first
+        # labeling of the unpruned DFS, on twin-rich graphs, on random ones
+        # and on order 7-8 graphs with a planted twin pair, whose plans mix
+        # keyed steps with steps inside a twin span
+        rng = random.Random(8)
+        planted = [_planted_twins(rng, 7 + n % 2) for n in range(12)]
+        for g in planted:
+            fronts = [step[6] for step in _search_plan(g)]
+            assert None in fronts and any(front is not None for front in fronts)
+        twin_rich = planted + [
             Graph(4, list(itertools.combinations(range(4), 2))),
             Graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),
             Graph(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)]),
@@ -412,7 +446,7 @@ class TestLexFirst:
                 if k - 1 >= lower_bound_s(g):
                     assert count_labelings(g, mode, k - 1) == 0
                 checked += 1
-        assert checked >= 50
+        assert checked >= 66
 
 
 class TestDeterminism:
