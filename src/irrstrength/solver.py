@@ -4,9 +4,11 @@ Search runs iterative deepening on the max label k, starting from the
 counting lower bound. Each ``solve`` call builds one search plan and
 reuses it at every k: a greedy edge order that always takes next the edge
 closing the most vertices, so that vertices become final early. A step is
-(e, u, v, closing, opened, twins, front): the edge, its endpoints, those
-it closes, those it leaves open with their counts of unassigned edges, the
-twin transpositions checked there, and its frontier. A vertex whose
+(e, u, v, closing, opened, twins, front, rests, t): the edge, its
+endpoints, those it closes, those it leaves open with their counts of
+unassigned edges, the twin transpositions checked there, its frontier
+with the frontier's counts of unassigned edges, and where the untouched
+vertices start in the plan's first-touch order. A vertex whose
 incident edges are all assigned is final, and its value, its weight mod a
 span (``_span``, the oracle's rule too), must differ from every other
 final vertex, otherwise the branch is cut. The first full assignment in
@@ -32,11 +34,22 @@ into a table of failed subtrees, and a later entry in the same state
 returns at once (nogood recording, Dechter 1990, keyed by the state of
 frontier-based search). Steps inside a twin transposition's span get no
 key, as their twin cut reads labels set before them, so books, where the
-a <-> b swap spans the whole plan, search as without the table. On the
+a <-> b swap spans the whole plan, search as without the table. The table
+holds at most ``_FAILED_CAP`` keys and is emptied when full.
+A keyed step entered afresh with a key not in the table also checks that
+every vertex not yet closed can still end at its own free value: the
+front vertices in their runs, the untouched ones in [degree, degree*k],
+matched greedily on the value line (the interval form of Hall's
+condition, bounds consistency for "all values distinct", Puget 1998). A
+state with no such matching fails like a step out of labels, and its key
+goes into the table. The reach cut above sees a tight set of vertices
+only once the last of them closes; this check sees it at once. The first
+step gets no key and no check: its key never repeats, and its check, on
+the degrees alone, is the counting bound k starts at. So books, whose
+a <-> b swap spans every later step, search exactly as before. On the
 benchmark's random corpus (20 graphs of order 8-11, both modes) the table
-cuts the nodes from 176,973 to 70,507, and on its graph 10 in ``ms`` from
-150,280 to 49,670. The table holds at most ``_FAILED_CAP`` keys and is
-emptied when full.
+and the check cut the nodes from 176,973 to 19,484 (70,507 with the table
+alone), and on its graph 10 in ``ms`` from 150,280 to 11,197.
 No cut removes a valid labeling, and k starts at the degree-range
 counting bound, below which none exists, so the certificate is the same
 as that of the plain DFS.
@@ -108,21 +121,25 @@ class StrengthResult:
         return text
 
 
-def _search_plan(g: Graph) -> list[tuple]:
-    """One step per edge, in the order the search assigns them.
+def _search_plan(g: Graph) -> tuple[list[tuple], tuple[int, ...]]:
+    """One step per edge, in the order the search assigns them, and the
+    vertices in the order the steps first touch them.
 
-    A step is (canonical edge index, u, v, closing, opened, twins, front):
-    the endpoints whose last unassigned edge this is, each other endpoint as
-    (vertex, number of unassigned edges), a list of the twin
+    A step is (canonical edge index, u, v, closing, opened, twins, front,
+    rests, t): the endpoints whose last unassigned edge this is, each other
+    endpoint as (vertex, number of unassigned edges), a list of the twin
     transpositions with a cycle of steps ending here, each as all its
-    cycles (p, q), p < q, sorted by p, and the step's frontier: the
-    vertices earlier steps touched and did not close, in first-touch order.
-    ``front`` is None on the steps j with min p < j <= max q for some
+    cycles (p, q), p < q, sorted by p, the step's frontier: the vertices
+    earlier steps touched and did not close, in first-touch order, their
+    unassigned edges, this step's included, and the number of vertices
+    earlier steps touched, so that the untouched ones are the suffix of the
+    first-touch order from t. ``front``, ``rests`` and ``t`` are None on
+    step 0 and on the steps j with min p < j <= max q for some
     transposition, whose subtree reads, through ``_least_label``, labels
-    of steps before j; ``_search`` keys its failed-subtree table only on
-    the other steps. Each step takes the unassigned edge that closes the
-    most vertices; ties go to the smallest sum of the endpoints'
-    unassigned degrees, then to the lowest index.
+    of steps before j; ``_search`` keys its failed-subtree table and runs
+    its Hall check only on the other steps, which list no transposition. Each step takes the
+    unassigned edge that closes the most vertices; ties go to the smallest
+    sum of the endpoints' unassigned degrees, then to the lowest index.
     """
     ends = g.edge_tuples()
     remaining = g.degrees().tolist()
@@ -144,7 +161,10 @@ def _search_plan(g: Graph) -> list[tuple]:
         at[u][v] = at[v][u] = len(plan)
         closing = tuple(w for w in (u, v) if not remaining[w])
         plan.append((e, u, v, closing, tuple((w, remaining[w]) for w in (u, v) if remaining[w]), []))
-    covered = [0] * (len(plan) + 1)  # difference array of the spans (min p, max q] twins read across
+    # difference array of the unkeyed steps: the spans (min p, max q] twins read across,
+    # and step 0, whose key never repeats and whose Hall check, on the degrees alone, is
+    # the counting bound that k starts at
+    covered = [1, -1] + [0] * (len(plan) - 1)
     last = {}  # the latest vertex with each open (key >= 0) or closed neighbourhood
     for v in range(g.order):
         mask = sum(1 << w for w in at[v])  # v's neighbours as a bitmask
@@ -163,14 +183,19 @@ def _search_plan(g: Graph) -> list[tuple]:
                     covered[cycles[0][0] + 1] += 1
                     covered[top + 1] -= 1
     depth = 0
-    touched = {}  # the vertices earlier steps touched and did not close, in first-touch order
+    first = {}  # the vertices earlier steps touched, in first-touch order
+    touched = {}  # those of them not closed, each with its unassigned edges
     for j, (e, u, v, closing, opened, twins) in enumerate(plan):
         depth += covered[j]
-        plan[j] = (e, u, v, closing, opened, twins, None if depth else tuple(touched))
-        touched[u] = touched[v] = None
+        if depth:
+            plan[j] = (e, u, v, closing, opened, twins, None, None, None)
+        else:
+            plan[j] = (e, u, v, closing, opened, twins, tuple(touched), tuple(touched.values()), len(first))
+        first[u] = first[v] = None
+        touched.update(opened)
         for w in closing:
-            del touched[w]
-    return plan
+            touched.pop(w, None)
+    return plan, tuple(first)
 
 
 def _least_label(twins, labels, i: int) -> int:
@@ -191,12 +216,60 @@ def _least_label(twins, labels, i: int) -> int:
     return least
 
 
+def _hall(degrees, touch, k: int, span: int, wrap: int):
+    """The interval Hall check of ``_search`` at label range 1..k, as a
+    function of a keyed step's state: ``matched(front, rests, weights, t,
+    taken)`` tells whether every vertex not yet closed can still end at its
+    own value that no bit of ``taken`` holds.
+
+    A front vertex, with weight w and r unassigned edges, can end only in
+    the run [w + r, w + r*k], an untouched one (``touch[t:]``) in
+    [degree, degree*k], both mod ``span``. Each run is unrolled from its
+    first value, bits at or past ``span`` standing for the values ``wrap``
+    below them, so an ``ms`` arc that wraps past the order is one interval
+    on the doubled residue line. A run of ``order`` (the length of
+    ``degrees``) or more values is dropped: with at most ``order`` - 1
+    values taken or held by the other runs, it always keeps one. The runs
+    are served by their last value, each the least free value at or above
+    its first; the check fails when that is past the run's last value
+    (Glover's greedy, which finds a matching of unit jobs to intervals
+    whenever one exists). In ``ms`` the doubled line is a relaxation: a
+    value and its partner ``wrap`` above are not both cleared, so a
+    failure still proves that no labeling completes the state.
+    """
+    order = len(degrees)
+    # ends[r]: a run's last value minus its first for r unassigned edges, -1 if it is dropped
+    ends = [r * (k - 1) if r * (k - 1) < order - 1 else -1 for r in range(order)]
+    tails = {}  # t: the untouched vertices' runs, sorted
+
+    def matched(front, rests, weights, t: int, taken: int) -> bool:
+        runs = tails.get(t)
+        if runs is None:  # an untouched vertex's run starts at its degree, below the span
+            runs = tails[t] = sorted((d + ends[d], d) for d in map(degrees.__getitem__, touch[t:]) if ends[d] >= 0)
+        runs = runs.copy()
+        for w, r in zip(front, rests):
+            if ends[r] >= 0:
+                lo = (weights[w] + r) % span
+                runs.append((lo + ends[r], lo))
+        runs.sort()
+        free = ~(taken | taken << wrap)
+        for hi, lo in runs:
+            rest = free >> lo
+            pos = lo + (rest & -rest).bit_length() - 1
+            if pos > hi:
+                return False
+            free ^= 1 << pos
+        return True
+
+    return matched
+
+
 def _span(g: Graph, mode: str, k: int) -> int:
     """Values are weights mod this: the order in ``ms``; in ``s`` k * max degree + 1, past every weight."""
     return g.order if mode == MODE_MS else k * int(g.degrees().max()) + 1
 
 
-def _search(plan, order: int, k: int, span: int, wrap: int):
+def _search(plan, touch, degrees, k: int, span: int, wrap: int):
     """Depth-first search over ``plan`` with labels in 1..k, as one loop over the steps.
 
     Returns (canonical labels of the first solution or None, nodes).
@@ -218,11 +291,17 @@ def _search(plan, order: int, k: int, span: int, wrap: int):
     ``finals[i]`` and the front's weights mod ``span``, packed into one int
     key. A keyed step that runs out of labels adds its key to ``failed``;
     a keyed step entered afresh with a failed key returns to step i - 1 at
-    once and counts no node. Only subtrees without a solution are skipped,
-    in unchanged DFS order, so the first solution is the same. ``failed``
-    is cleared when it holds ``_FAILED_CAP`` keys.
+    once and counts no node. Otherwise it runs the Hall check (``_hall``)
+    on the vertices not yet closed, the front and the untouched
+    ``touch[t:]``, which reads only that key's parts too: when their runs
+    cannot take distinct free values, the step fails as one out of labels,
+    its key recorded, again without a node. Only subtrees without a
+    solution are skipped, in unchanged DFS order, so the first solution is
+    the same. ``failed`` is cleared when it holds ``_FAILED_CAP`` keys.
     """
     size = len(plan)
+    order = len(degrees)
+    matched = _hall(degrees, touch, k, span, wrap)
     labels = [0] * size  # in plan order
     finals = [0] * (size + 1)
     keys = [0] * size  # each keyed step's key, as last entered
@@ -235,23 +314,25 @@ def _search(plan, order: int, k: int, span: int, wrap: int):
     nodes = 0
     i = 0
     while 0 <= i < size:
-        _, u, v, closing, opened, twins, front = plan[i]
+        _, u, v, closing, opened, twins, front, rests, t = plan[i]
         lab = labels[i]
         if lab:
             weights[u] -= lab
             weights[v] -= lab
             lab += 1
-        else:
-            if front is not None:
-                key = finals[i]
-                for w in front:
-                    key = key * span + weights[w] % span
-                key = key * size + i
-                if key in failed:
-                    i -= 1
-                    continue
-                keys[i] = key
+        elif front is None:
             lab = _least_label(twins, labels, i) if twins else 1
+        else:
+            key = finals[i]
+            for w in front:
+                key = key * span + weights[w] % span
+            key = key * size + i
+            if key in failed:
+                i -= 1
+                continue
+            keys[i] = key
+            # a state with no matching fails as a step out of labels would, key recorded
+            lab = 1 if matched(front, rests, weights, t, finals[i]) else k + 1
         if lab > k:
             labels[i] = 0
             if front is not None:
@@ -309,11 +390,12 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     if k_max < lb:
         raise ValueError(f"k_max={k_max} is below the lower bound {lb}")
 
-    plan = _search_plan(g)
+    plan, touch = _search_plan(g)
+    degrees = g.degrees().tolist()
     nodes = 0
     for k in range(lb, k_max + 1):
         span = _span(g, mode, k)
-        best, searched = _search(plan, g.order, k, span, span if mode == MODE_MS else 0)
+        best, searched = _search(plan, touch, degrees, k, span, span if mode == MODE_MS else 0)
         nodes += searched
         if best is not None:
             cert = make_certificate(g, EdgeLabeling(best), MODULAR if mode == MODE_MS else IRREGULAR)

@@ -5,17 +5,18 @@ The search returns the first valid labeling in plan order, and a pruned
 branch only ever holds labelings lex-greater than their image under a
 graph automorphism, so every byte of every certificate must stay the same.
 The enumeration oracle's counts on the same graphs are pinned too, taken
-before it checked distinctness as a bitmask. The failed-subtree table skips
-only subtrees without a solution, so it moves no digest either, even when
-its cap keeps clearing it.
+before it checked distinctness as a bitmask. The failed-subtree table and
+the Hall check skip only subtrees without a solution, so they move no
+digest either, even when the table's cap keeps clearing it.
 """
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
-from irrstrength import count_labelings, make_triangular_book, solve, solver
+from irrstrength import count_labelings, make_triangular_book, parse_edge_list, solve, solver
 
 from conftest import random_solid_graph
 
@@ -68,6 +69,30 @@ def test_graph_one_is_pinned(mode):
     g = [random_solid_graph(rng, 13, 16, 0.3) for _ in range(2)][1]
     assert (g.order, g.size) == (15, 35)
     assert hashlib.sha256(solve(g, mode).to_json().encode("ascii")).hexdigest() == GRAPH_ONE_PINS[mode]
+
+
+# graph 3 of the same draws, order 16 and size 32, k = 4 in both modes, as an
+# ILP finds too; its k = 3 refutation finishes only with the Hall check, in
+# about 140,000 nodes per mode (over 100 s without it), which the guard holds
+GRAPH_THREE = Path(__file__).parent / "data" / "sample_graph_3.txt"
+GRAPH_THREE_PINS = {
+    "s": "de832a80530652ed3889fb7de67fe6d1afd3c2e9630becf9a684c3aef85ab197",
+    "ms": "8363f0bd0afa1a92722f55cbb240fccbe06f0382c65868d17fee9c55a1c3acb8",
+}
+
+
+def test_graph_three_fixture_is_the_fourth_draw():
+    rng = random.Random(1)
+    g = [random_solid_graph(rng, 13, 16, 0.3) for _ in range(4)][3]
+    assert (g.order, g.size) == (16, 32)
+    assert parse_edge_list(GRAPH_THREE.read_text(encoding="ascii")) == g
+
+
+@pytest.mark.parametrize("mode", sorted(GRAPH_THREE_PINS))
+def test_graph_three_is_pinned(mode):
+    result = solve(parse_edge_list(GRAPH_THREE.read_text(encoding="ascii")), mode)
+    assert hashlib.sha256(result.to_json().encode("ascii")).hexdigest() == GRAPH_THREE_PINS[mode]
+    assert result.nodes < 160_000
 
 
 # (graph index, mode, j): count_labelings at j = k and j = k - 1, k the solved

@@ -40,8 +40,8 @@ def _pinned_corpus():
 NODE_PINS = {
     ("books", "s"): [17, 10, 10, 14, 19, 24, 30, 36, 43, 50, 58, 66, 75, 84, 94, 104, 115, 126],
     ("books", "ms"): [17, 10, 10, 0, 397, 134, 244, 0, 118, 71, 58, 0, 4708, 2536, 1998, 0, 352, 157],
-    ("random", "s"): [1209, 951, 231, 258, 36, 85, 91, 54, 20, 884, 498, 241, 21, 991, 146, 120, 127, 57, 41, 40],
-    ("random", "ms"): [1209, 975, 0, 258, 33, 7804, 0, 0, 79, 0, 49_670, 633, 27, 979, 1680, 120, 0, 57, 882, 0],
+    ("random", "s"): [33, 61, 33, 66, 26, 40, 37, 33, 20, 32, 51, 34, 21, 81, 107, 66, 28, 33, 29, 28],
+    ("random", "ms"): [33, 75, 0, 66, 23, 5018, 0, 0, 34, 0, 11_197, 96, 22, 81, 1203, 66, 0, 33, 678, 0],
 }
 
 
@@ -291,8 +291,9 @@ class TestSearchOrder:
         graphs = [C3, make_family("star", 4), make_triangular_book(1), make_triangular_book(7)]
         graphs += [random_solid_graph(rng, 3, 9) for _ in range(10)]
         for g in graphs:
-            plan = _search_plan(g)
+            plan, touch = _search_plan(g)
             assert sorted(e for e, *_ in plan) == list(range(g.size))
+            assert touch == tuple(dict.fromkeys(w for _, a, b, *_ in plan for w in (a, b)))
             closed = [w for _, _, _, closing, *_ in plan for w in closing]
             assert sorted(closed) == np.flatnonzero(g.degrees()).tolist()
             # opened: each endpoint left with unassigned edges, recounted from the later steps
@@ -303,21 +304,30 @@ class TestSearchOrder:
 
     def test_fronts_are_the_open_touched_vertices_outside_twin_spans(self):
         # a step's front: the vertices earlier steps touched and did not close,
-        # in first-touch order; None exactly inside some twin transposition's
-        # [min p + 1, max q]
+        # in first-touch order; None exactly on step 0 and inside some twin
+        # transposition's [min p + 1, max q]. A keyed step also holds its front's unassigned
+        # edge counts and the start of the untouched suffix of the plan's
+        # first-touch order, and never lists a twin transposition
         rng = random.Random(7)
         graphs = [make_triangular_book(n) for n in (1, 2, 7)] + [make_family("cycle", 6)]
         graphs += [Graph(4, list(itertools.combinations(range(4), 2)))]
         graphs += [random_solid_graph(rng, 5, 11, 0.3) for _ in range(20)]
         kinds = collections.Counter()
         for g in graphs:
-            plan = _search_plan(g)
+            plan, touch = _search_plan(g)
             swaps = {cycles for step in plan for cycles in step[5]}
             for j, step in enumerate(plan):
-                inside = any(cycles[0][0] < j <= max(q for _, q in cycles) for cycles in swaps)
+                inside = not j or any(cycles[0][0] < j <= max(q for _, q in cycles) for cycles in swaps)
                 touched = dict.fromkeys(w for _, a, b, *_ in plan[:j] for w in (a, b))
                 closed = {w for _, _, _, closing, *_ in plan[:j] for w in closing}
-                assert step[6] == (None if inside else tuple(w for w in touched if w not in closed))
+                front = tuple(w for w in touched if w not in closed)
+                later = collections.Counter(x for _, a, b, *_ in plan[j:] for x in (a, b))
+                if inside:
+                    assert step[6:] == (None, None, None)
+                else:
+                    assert step[6:] == (front, tuple(later[w] for w in front), len(touched))
+                    assert touch[: step[8]] == tuple(touched)
+                    assert not step[5]
                 kinds[inside] += 1
         assert kinds[True] and kinds[False]
 
@@ -357,7 +367,7 @@ class TestSearchOrder:
         # B_1..B_18 and the pinned random corpus; a rewrite of the planner must
         # give the same plans
         graphs = [make_triangular_book(n) for n in range(1, 19)] if name == "books" else _pinned_corpus()
-        text = repr([[step[:4] for step in _search_plan(g)] for g in graphs])
+        text = repr([[step[:4] for step in _search_plan(g)[0]] for g in graphs])
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     @pytest.mark.parametrize("name, mode", sorted(NODE_PINS))
@@ -374,7 +384,7 @@ class TestSearchOrder:
 
     def test_random_corpus_node_guard(self):
         graphs = _pinned_corpus()
-        assert sum(solve(g, mode).nodes for g in graphs for mode in ("s", "ms")) < 200_000
+        assert sum(solve(g, mode).nodes for g in graphs for mode in ("s", "ms")) < 30_000
 
     def test_twin_transpositions(self):
         # B_n, n >= 2: the n - 1 swaps of consecutive pages and a <-> b; B_1
@@ -383,13 +393,123 @@ class TestSearchOrder:
         graphs += [(make_triangular_book(1), 2), (Graph(4, list(itertools.combinations(range(4), 2))), 3)]
         graphs += [(make_family("cycle", 5), 0)]
         for g, count in graphs:
-            checks = [step[5] for step in _search_plan(g)]
+            checks = [step[5] for step in _search_plan(g)[0]]
             swaps = {cycles for twins in checks for cycles in twins}
             assert len(swaps) == count
             for cycles in swaps:
                 assert [p for p, _ in cycles] == sorted(p for p, _ in cycles)
                 assert all(p < q for p, q in cycles)
                 assert [q for q, twins in enumerate(checks) if cycles in twins] == sorted(q for _, q in cycles)
+
+
+def _distinct_picks(choices) -> bool:
+    """Whether one value can be picked from each list, all distinct (Kuhn's augmenting paths)."""
+    owner = {}
+
+    def place(i, seen) -> bool:
+        for x in choices[i]:
+            if x not in seen:
+                seen.add(x)
+                if x not in owner or place(owner[x], seen):
+                    owner[x] = i
+                    return True
+        return False
+
+    return all(place(i, set()) for i in range(len(choices)))
+
+
+class TestHallCheck:
+    # solver._hall on hand-built states: ``degrees`` gives the order and the
+    # untouched vertices' runs, ``front`` the open touched vertices with their
+    # weights and unassigned edges, ``taken`` the values closed vertices hold
+
+    def test_open_vertices_squeezed_into_too_few_values_are_cut(self):
+        # s, k = 3: weight 2 with one edge left reaches [3, 5]; 4 is taken
+        matched = solver._hall([3] * 6, tuple(range(6)), 3, 10, 0)
+        weights, taken = [2] * 6, 1 << 4
+        assert 0b111 << 3 & ~taken  # each vertex alone passes the reach test
+        assert matched((0, 1), (1, 1), weights, 6, taken)
+        assert not matched((0, 1, 2), (1, 1, 1), weights, 6, taken)
+
+    def test_untouched_vertices_take_their_degree_runs(self):
+        # s, k = 2: vertex 0 (weight 0, one edge left) and the untouched
+        # vertices 1 and 2 of degree 1 all reach only [1, 2]; vertex 3's run,
+        # [3, 6], has order or more values and is dropped
+        matched = solver._hall([1, 1, 1, 3], (0, 1, 2, 3), 2, 7, 0)
+        assert matched((0,), (1,), [0] * 4, 2, 0)
+        assert not matched((0,), (1,), [0] * 4, 1, 0)
+
+    def test_modular_arc_wrapping_past_the_order(self):
+        # ms, order 5, k = 2: weight 3 with one edge left reaches residues 4 and 0,
+        # unrolled as bits 4 and 5 of the doubled line
+        matched = solver._hall([4] * 5, tuple(range(5)), 2, 5, 5)
+        weights = [3] * 5
+        assert matched((0, 1), (1, 1), weights, 5, 0)
+        assert not matched((0, 1, 2), (1, 1, 1), weights, 5, 0)
+        for taken in (1 << 0, 1 << 4):  # either residue taken leaves room for one
+            assert matched((0,), (1,), weights, 5, taken)
+            assert not matched((0, 1), (1, 1), weights, 5, taken)
+        assert not matched((0,), (1,), weights, 5, 1 << 0 | 1 << 4)
+
+    def test_full_length_modular_arc_is_dropped(self):
+        # ms, order 5: two edges left at k = 3 reach all 5 residues, so the run
+        # is dropped even with every residue taken; one edge at k = 4 reaches 4
+        # residues and is checked
+        degrees, touch, everything = [4] * 5, tuple(range(5)), 0b11111
+        assert solver._hall(degrees, touch, 3, 5, 5)((0,), (2,), [0] * 5, 5, everything)
+        assert not solver._hall(degrees, touch, 4, 5, 5)((0,), (1,), [0] * 5, 5, everything)
+
+    @pytest.mark.parametrize("mode", ["s", "ms"])
+    def test_root_check_is_the_counting_bound(self, mode):
+        # with nothing touched or taken the runs are [d, d*k]: Hall's condition
+        # on them is the degree-range bound, so step 0 needs no check
+        rng = random.Random(3)
+        for _ in range(60):
+            g = random_solid_graph(rng, 3, 12, 0.4)
+            degrees, lb = g.degrees().tolist(), lower_bound_s(g)
+            for k in range(max(1, lb - 2), lb + 3):
+                span = g.order if mode == "ms" else k * max(degrees) + 1
+                matched = solver._hall(degrees, tuple(range(g.order)), k, span, span if mode == "ms" else 0)
+                assert matched((), (), [0] * g.order, 0, 0) == (k >= lb)
+
+    @pytest.mark.parametrize("mode", ["s", "ms"])
+    def test_agrees_with_brute_force_matching(self, mode):
+        # random states with no more closed and open vertices than the order:
+        # in s the check is exact; in ms it passes every state whose runs can
+        # take distinct free residues
+        rng = random.Random(5)
+        cuts = 0
+        for _ in range(300):
+            order, k = rng.randint(4, 7), rng.randint(2, 3)
+            degrees = [rng.randint(1, 3) for _ in range(order)]
+            span = order if mode == "ms" else k * max(degrees) + 1
+            vertices = rng.sample(range(order), order)
+            closed = rng.randint(0, min(order, span) - 1)
+            opens = vertices[closed:]
+            t = rng.randint(0, len(opens))  # the open vertices touched
+            front = tuple(opens[:t])
+            rests = tuple(rng.randint(1, degrees[w]) for w in front)
+            weights = [0] * order
+            for w, r in zip(front, rests):
+                weights[w] = rng.randint(degrees[w] - r, k * (degrees[w] - r))
+            taken = 0
+            while taken.bit_count() < closed:
+                taken |= 1 << rng.randrange(span)
+            pairs = [(weights[w], r) for w, r in zip(front, rests)] + [(0, degrees[w]) for w in opens[t:]]
+            choices = [
+                [x for x in ((w + j) % span for j in range(r, r * k + 1)) if not taken >> x & 1]
+                for w, r in pairs
+            ]
+            feasible = _distinct_picks(choices)
+            verdict = solver._hall(degrees, tuple(vertices), k, span, order if mode == "ms" else 0)(
+                front, rests, weights, closed + t, taken
+            )
+            if mode == "s":
+                assert verdict == feasible
+            else:
+                assert verdict or not feasible
+            cuts += not verdict
+        assert 50 <= cuts <= 250
 
 
 def _is_valid(g, labels, mode: str) -> bool:
@@ -418,9 +538,11 @@ class TestLexFirst:
         # keyed steps with steps inside a twin span
         rng = random.Random(8)
         planted = [_planted_twins(rng, 7 + n % 2) for n in range(12)]
+        mixed = 0  # step 0 is never keyed, so count the plans that mix on later steps
         for g in planted:
-            fronts = [step[6] for step in _search_plan(g)]
-            assert None in fronts and any(front is not None for front in fronts)
+            fronts = [step[6] for step in _search_plan(g)[0]][1:]
+            mixed += None in fronts and any(front is not None for front in fronts)
+        assert mixed >= 10
         twin_rich = planted + [
             Graph(4, list(itertools.combinations(range(4), 2))),
             Graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),
@@ -435,7 +557,7 @@ class TestLexFirst:
                 if result.outcome != "finite" or result.k ** g.size > 3**10:
                     continue
                 k = result.k
-                steps = [e for e, *_ in _search_plan(g)]
+                steps = [e for e, *_ in _search_plan(g)[0]]
                 for labels in itertools.product(range(1, k + 1), repeat=g.size):
                     canonical = [0] * g.size
                     for e, lab in zip(steps, labels):
