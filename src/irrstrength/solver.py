@@ -53,8 +53,8 @@ alone), and on its graph 10 in ``ms`` from 150,280 to 11,197.
 No cut removes a valid labeling, and k starts at the degree-range
 counting bound, below which none exists, so the certificate is the same
 as that of the plain DFS.
-``count_labelings`` is the independent full-enumeration oracle the search
-is cross-checked against; its docstring says how it enumerates.
+``count_labelings`` is the independent counting oracle the search is
+cross-checked against, with none of its cuts; its docstring says how it counts.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -84,9 +85,7 @@ FINITE = "finite"
 INFINITE = "infinite"
 UNKNOWN = "unknown"
 
-_COUNT_BUDGET = 2**24  # assignments one count_labelings call may check
-_COUNT_BLOCK = 1 << 15  # assignments checked per numpy batch
-_MASK_BITS = 64  # widest value span checked as one bitmask per assignment
+_COUNT_BUDGET = 2**21  # label extensions one count_labelings call may make
 _FAILED_CAP = 1 << 18  # failed-subtree keys one search holds before it clears them
 
 
@@ -420,73 +419,65 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
 
 
 def count_labelings(g: Graph, mode: str, k: int) -> int:
-    """Number of valid labelings with labels in 1..k, by full enumeration.
+    """Number of valid labelings with labels in 1..k, by dynamic programming over the edges.
 
-    Every one of the k**size assignments is generated and checked; there
-    is no pruning, which is the point: this is the independent oracle the
-    searching solver is compared against. The first b edges, b the most
-    with k**b <= ``_COUNT_BLOCK``, give an (order, k**b) block of weights,
-    a row per vertex, built once. The labelings of the other edges come in
-    chunks of about ``_COUNT_BLOCK / k**b``; each adds its own weights to
-    the rows of the vertices those edges touch. An assignment is valid when
-    its values, the weights (``s``) or residues mod the order (``ms``), are
-    pairwise distinct. Values spanning at most ``_MASK_BITS`` numbers (the
-    order in ``ms``, k * max degree + 1 in ``s``) set one bit each of a
-    uint64 per assignment, the untouched rows folded into one mask once per
-    call, and ``order`` set bits mean valid; a wider span is sorted instead.
-    At k = 1 the one labeling, whose weights are the degrees, is checked alone.
+    It shares only the edge order of ``_search_plan`` and the value rule
+    ``_span`` with the search, and prunes nothing, so it is an exact and
+    independent oracle. After each edge, a state maps to the number of
+    partial labelings that reach it: the values of closed vertices, as the
+    bits of ``taken``, and the weights mod span of the front, the vertices
+    touched and not closed (the state of frontier-based search, Kawahara,
+    Inoue, Iwashita and Minato 2017). An edge extends every state by each
+    label 1..k; an endpoint closes at its last edge, on a value no bit of
+    ``taken`` holds. A degree-0 vertex holds value 0.
 
     ``k`` must be an integer (numpy integers too, ``bool`` not) and at
-    least 1. A call over more than ``_COUNT_BUDGET`` assignments raises
-    ``ValueError`` instead of running.
+    least 1. A call that would make more than ``_COUNT_BUDGET`` label
+    extensions (states times k, summed over the edges) raises ``ValueError``
+    instead, which bounds its time and its number of states.
     """
     if mode not in (MODE_S, MODE_MS):
         raise ValueError(f"mode must be '{MODE_S}' or '{MODE_MS}', got {mode!r}")
     k = _integer(k, "k", 1)
     if g.size == 0:
         raise ValueError("graph has no edges")
-    if k ** g.size > _COUNT_BUDGET:
-        raise ValueError(
-            f"instance too large to enumerate: {k}**{g.size} assignments exceed the budget of {_COUNT_BUDGET}"
-        )
     span = _span(g, mode, k)
     if k == 1:  # the one labeling, whose weights are the degrees
         return int(np.unique(g.degrees() % span).size == g.order)
-    # a weight is at most size * k: int32 holds it, as the budget keeps it
-    # below 2**24 for k >= 2
-    incidence = np.zeros((g.order, g.size), dtype=np.int32)
-    incidence[g.edges.T, np.arange(g.size)] = 1
-
-    b = 0
-    while b < g.size and k ** (b + 1) <= _COUNT_BLOCK:
-        b += 1
-    degree = int(g.degrees().max())
-    # taking labels mod span too keeps every residue and holds each sum below (degree + 1) * span
-    labels = np.arange(1, min(k, _COUNT_BLOCK) + 1, dtype=np.int32) % span  # all of 1..k when b > 0
-    block = np.zeros((g.order, 1), dtype=np.int32)  # one row of weights per vertex
-    for col in incidence[:, :b].T:
-        block = (col[:, None, None] * labels[:, None] + block[:, None]).reshape(g.order, -1)
-    # the mask path folds the vertices no chunk changes into one row; the sort path keeps them all
-    moving = incidence[:, b:].any(axis=1) | (span > _MASK_BITS)
-    if span <= _MASK_BITS:
-        bits = np.uint64(1) << np.arange((degree + 1) * span, dtype=np.uint64) % np.uint64(span)
-        fixed = np.zeros(block.shape[1], dtype=np.uint64)
-        for v in np.flatnonzero(~moving):
-            fixed |= bits.take(block[v])
-    block = block[moving]
-    rest = k ** (g.size - b)
-    place = k ** np.arange(g.size - b, dtype=np.int32)
-    chunk = max(1, _COUNT_BLOCK // block.shape[1])
-    total = 0
-    for start in range(0, rest, chunk):
-        index = np.arange(start, min(start + chunk, rest), dtype=np.int32)
-        extra = incidence[moving, b:] @ (index // place[:, None] % k + 1) % span
-        if span <= _MASK_BITS:
-            mask = fixed
-            for row, add in zip(block, extra):
-                mask = mask | bits.take(add[:, None] + row)
-            total += int(np.count_nonzero(np.bitwise_count(mask) == g.order))
-        else:  # sorted along the vertex axis, distinct values have no equal neighbours
-            values = np.sort((block[:, None] + extra[:, :, None]) % span, axis=0)
-            total += int(np.count_nonzero((values[1:] != values[:-1]).all(axis=0)))
-    return total
+    remaining = g.degrees().tolist()  # each vertex's edges not yet counted over
+    isolated = remaining.count(0)
+    if isolated > 1:
+        return 0
+    front = []  # s[i] of a state s is the weight of front[i - 1]
+    states = {(isolated,): 1}  # a degree-0 vertex takes value 0, bit 0
+    extensions = 0
+    for _, u, v, *_ in _search_plan(g)[0]:
+        extensions += len(states) * k
+        if extensions > _COUNT_BUDGET:
+            raise ValueError(f"instance too large to count: over {_COUNT_BUDGET} label extensions")
+        remaining[u] -= 1
+        remaining[v] -= 1
+        at = {w: i for i, w in enumerate(front, 1)}
+        iu, iv = at.get(u, 0), at.get(v, 0)  # 0: untouched, of weight 0
+        cu, cv = not remaining[u], not remaining[v]
+        keep = [i for w, i in at.items() if w != u and w != v]
+        front = [front[i - 1] for i in keep] + [w for w in (u, v) if remaining[w]]
+        rest = itemgetter(*keep) if len(keep) > 1 else lambda s: tuple(s[i] for i in keep)
+        extended = {}
+        for s, count in states.items():
+            taken = s[0]
+            a = s[iu] if iu else 0
+            b = s[iv] if iv else 0
+            others = rest(s)
+            for lab in range(1, k + 1):
+                x = (a + lab) % span
+                y = (b + lab) % span
+                if cu and cv and x == y:
+                    continue
+                bits = cu << x | cv << y  # the values of the endpoints that close
+                if taken & bits:
+                    continue
+                key = (taken | bits, *others, *(x, y)[cu : 2 - cv])  # the endpoints left open
+                extended[key] = extended.get(key, 0) + count
+        states = extended
+    return sum(states.values())

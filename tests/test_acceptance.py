@@ -65,7 +65,7 @@ def test_criterion_2_five_page_impossibility():
     with criterion(2, "B_5: no modular 3-labeling among all 177147; ms solves to 4, under 10 s"):
         start = time.monotonic()
         g = make_triangular_book(5)
-        assert 3 ** g.size == 177147  # full enumeration space of the oracle
+        assert 3 ** g.size == 177147  # the labelings the oracle counts over
         assert count_labelings(g, "ms", 3) == 0
         result = solve(g, "ms")
         assert result.outcome == "finite"

@@ -14,8 +14,8 @@ exact Fraction arithmetic,
 
 Every claim below reduces to these three checks, so each test is a proof
 for all t >= T0, not a sample. The books below 8 pages, among them every
-row of ``_SMALL``, are covered by the sweeps and the enumeration in the
-other test files.
+row of ``_SMALL``, are covered by the sweeps and the counting oracle in
+the other test files.
 """
 
 import math

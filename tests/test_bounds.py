@@ -97,7 +97,7 @@ class TestLowerBoundS:
 
     @pytest.mark.parametrize("order", (3, 4, 5))
     def test_sound_on_every_small_graph(self, order):
-        # the search starts at the bound, so the enumeration oracle checks the
+        # the search starts at the bound, so the counting oracle checks the
         # level below it independently
         checked = 0
         for g in _solid_graphs(order):

@@ -2,7 +2,6 @@
 
 import math
 from itertools import combinations, product
-from unittest.mock import patch
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -22,7 +21,6 @@ from irrstrength import (
     verify_profile,
     vertex_weights,
 )
-from irrstrength import solver
 from irrstrength.books import (
     _case,
     irregular_labeling,
@@ -263,7 +261,7 @@ class TestSolverProperties:
     @settings(max_examples=40, deadline=None)
     @given(graphs(3, 6), st.integers(1, 3), st.sampled_from(["s", "ms"]))
     def test_count_matches_brute_force(self, g, k, mode):
-        # the batched oracle against a plain loop over itertools.product
+        # the counting oracle against a plain loop over itertools.product
         assume(k**g.size <= 3**8)
         expected = 0
         for labels in product(range(1, k + 1), repeat=g.size):
@@ -276,15 +274,6 @@ class TestSolverProperties:
             else:
                 expected += sorted(w % g.order for w in weights) == list(range(g.order))
         assert count_labelings(g, mode, k) == expected
-
-    @settings(max_examples=40, deadline=None)
-    @given(graphs(3, 6), st.integers(1, 3), st.sampled_from(["s", "ms"]))
-    def test_count_mask_and_sort_paths_agree(self, g, k, mode):
-        # a mask width of 0 sends every call down the sort path
-        assume(k**g.size <= 3**9)
-        with patch.object(solver, "_MASK_BITS", 0):
-            by_sort = count_labelings(g, mode, k)
-        assert count_labelings(g, mode, k) == by_sort
 
     @settings(max_examples=20, deadline=None)
     @given(graphs(3, 6))

@@ -4,14 +4,18 @@ The digests were taken from the search before it pruned twin symmetry.
 The search returns the first valid labeling in plan order, and a pruned
 branch only ever holds labelings lex-greater than their image under a
 graph automorphism, so every byte of every certificate must stay the same.
-The enumeration oracle's counts on the same graphs are pinned too, taken
-before it checked distinctness as a bitmask. The failed-subtree table and
-the Hall check skip only subtrees without a solution, so they move no
-digest either, even when the table's cap keeps clearing it.
+The counting oracle's counts on the same graphs are pinned too, taken by
+full enumeration before the oracle became a dynamic program over the
+search plan's edge order, so they referee it; the one count past
+enumeration's reach is a zero the search's strength implies. The
+failed-subtree table and the Hall check skip only subtrees without a
+solution, so they move no digest either, even when the table's cap keeps
+clearing it.
 """
 
 import hashlib
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -63,12 +67,22 @@ GRAPH_ONE_PINS = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(GRAPH_ONE_PINS))
-def test_graph_one_is_pinned(mode):
+def _graph_one():
     rng = random.Random(1)
     g = [random_solid_graph(rng, 13, 16, 0.3) for _ in range(2)][1]
     assert (g.order, g.size) == (15, 35)
-    assert hashlib.sha256(solve(g, mode).to_json().encode("ascii")).hexdigest() == GRAPH_ONE_PINS[mode]
+    return g
+
+
+@pytest.mark.parametrize("mode", sorted(GRAPH_ONE_PINS))
+def test_graph_one_is_pinned(mode):
+    assert hashlib.sha256(solve(_graph_one(), mode).to_json().encode("ascii")).hexdigest() == GRAPH_ONE_PINS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(GRAPH_ONE_PINS))
+def test_graph_one_has_no_labeling_below_three(mode):
+    # 2**35 assignments, past any enumeration; about 700,000 label extensions
+    assert count_labelings(_graph_one(), mode, 2) == 0
 
 
 # graph 3 of the same draws, order 16 and size 32, k = 4 in both modes, as an
@@ -88,15 +102,33 @@ def test_graph_three_fixture_is_the_fourth_draw():
     assert parse_edge_list(GRAPH_THREE.read_text(encoding="ascii")) == g
 
 
+@pytest.fixture
+def time_limit():
+    """Fail the test with ``TimeoutError`` after 120 s: ``solve`` has no node budget to stop it."""
+
+    def expire(signum, frame):
+        raise TimeoutError("over 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("mode", sorted(GRAPH_THREE_PINS))
-def test_graph_three_is_pinned(mode):
+def test_graph_three_is_pinned(mode, time_limit):
     result = solve(parse_edge_list(GRAPH_THREE.read_text(encoding="ascii")), mode)
     assert hashlib.sha256(result.to_json().encode("ascii")).hexdigest() == GRAPH_THREE_PINS[mode]
     assert result.nodes < 160_000
 
 
 # (graph index, mode, j): count_labelings at j = k and j = k - 1, k the solved
-# strength, wherever j**size <= 3**11; books are B_1..B_6
+# strength, wherever j**size <= 3**11, and at j = k - 1 for the rest of the
+# random corpus (checked by enumeration up to 2**24; (10, "ms", 3) is 3**17);
+# books are B_1..B_6
 COUNT_PINS = {
     "books": {
         (0, "s", 3): 6, (0, "s", 2): 0, (0, "ms", 3): 6, (0, "ms", 2): 0,
@@ -114,6 +146,8 @@ COUNT_PINS = {
         (13, "s", 1): 0, (13, "ms", 1): 0, (14, "s", 2): 0, (14, "ms", 2): 0,
         (15, "s", 2): 0, (15, "ms", 2): 0, (16, "s", 2): 0, (17, "s", 2): 0,
         (17, "ms", 2): 0, (18, "s", 2): 0, (18, "ms", 2): 0, (19, "s", 2): 0,
+        (4, "s", 4): 0, (4, "ms", 4): 0, (5, "s", 2): 0, (5, "ms", 2): 0, (7, "s", 2): 0,
+        (10, "ms", 3): 0, (12, "s", 4): 0, (12, "ms", 4): 0,
     },
 }
 

@@ -173,15 +173,21 @@ class TestCountLabelings:
             for mode in ("s", "ms"):
                 assert count_labelings(g, mode, 2) <= count_labelings(g, mode, 3)
 
-    def test_guard_rejects_large_instances(self):
+    def test_guard_rejects_large_instances(self, monkeypatch):
+        monkeypatch.setattr(solver, "_COUNT_BUDGET", 1000)
         with pytest.raises(ValueError, match="too large"):
-            count_labelings(make_triangular_book(5), "ms", 16)  # 11 * 4 = 44 bits
+            count_labelings(make_triangular_book(5), "ms", 16)
+        # the path's two edges extend 1 state, then 200 states, by 200 labels each
+        monkeypatch.setattr(solver, "_COUNT_BUDGET", 200 + 200 * 200)
+        assert count_labelings(make_family("path", 3), "s", 200) == 200 * 199
+        monkeypatch.setattr(solver, "_COUNT_BUDGET", 200 + 200 * 200 - 1)
+        with pytest.raises(ValueError, match="too large"):
+            count_labelings(make_family("path", 3), "s", 200)
 
-    def test_budget_rejects_book_twelve(self):
+    def test_book_twelve_irregular_at_two_counts_nothing(self):
         g = make_triangular_book(12)
         assert 2**g.size == 2**25
-        with pytest.raises(ValueError, match="too large"):
-            count_labelings(g, "s", 2)
+        assert count_labelings(g, "s", 2) == 0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -199,15 +205,14 @@ class TestCountLabelings:
         assert count_labelings(C3, "s", np.int64(3)) == 6
 
     def test_many_batches_with_a_partial_last(self):
-        # 200**2 = 40,000 assignments: more than one block of 2**15
+        # 200 + 200**2 = 40,200 label extensions, 200 states after the first edge
         assert count_labelings(make_family("path", 3), "s", 200) == 200 * 199
 
-    def test_more_labels_than_one_block(self, monkeypatch):
+    def test_more_labels_than_one_block(self):
         k2 = Graph(2, [(0, 1)])
         for mode in ("s", "ms"):
             assert count_labelings(k2, mode, 40_000) == 0
-        # with a small block, the call must stay far below one array of k labels
-        monkeypatch.setattr(solver, "_COUNT_BLOCK", 256)
+        # the call must stay far below one array of k labels
         tracemalloc.start()
         try:
             assert count_labelings(k2, "s", 40_000) == 0
@@ -219,14 +224,14 @@ class TestCountLabelings:
     @pytest.mark.parametrize(
         "g, mode, k",
         [
-            (make_family("star", 3), "s", 21),  # values span 3 * 21 + 1 = 64: one bitmask
-            (make_family("star", 3), "s", 22),  # span 67: sorted
+            (make_family("star", 3), "s", 21),  # values span 3 * 21 + 1 = 64
+            (make_family("star", 3), "s", 22),  # span 67
             (C3, "s", 33),  # span 67, and valid labelings reach weight 65
-            (Graph(64, [(i, i + 1) for i in range(10)]), "ms", 2),  # span 64
+            (Graph(64, [(i, i + 1) for i in range(10)]), "ms", 2),  # span 64, 53 isolated vertices
             (Graph(65, [(i, i + 1) for i in range(10)]), "ms", 2),  # span 65
         ],
     )
-    def test_both_sides_of_the_mask_width(self, g, mode, k):
+    def test_matches_brute_force_across_value_spans(self, g, mode, k):
         expected = 0
         for labels in itertools.product(range(1, k + 1), repeat=g.size):
             weights = [0] * g.order
@@ -236,6 +241,11 @@ class TestCountLabelings:
             values = [w % g.order for w in weights] if mode == "ms" else weights
             expected += len(set(values)) == g.order
         assert count_labelings(g, mode, k) == expected
+
+    def test_degree_zero_vertices_hold_value_zero(self):
+        # a, a + b, b and 0 pairwise distinct mod 4: a != b in 1..3 with a + b != 4
+        assert count_labelings(Graph(4, [(0, 1), (1, 2)]), "ms", 4) == 4
+        assert count_labelings(Graph(5, [(0, 1), (1, 2)]), "s", 3) == 0  # two vertices of weight 0
 
     def test_single_label_counts_nothing(self):
         for g in (C3, make_triangular_book(2), make_family("star", 3)):
@@ -250,10 +260,10 @@ class TestCountLabelings:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 2**20  # an (order, size) incidence matrix of int32 alone is 72 MB
+        assert peak < 5 * 2**20  # no search plan, which alone takes seconds on B_3000
 
     def test_agrees_with_pruned_search_counts(self):
-        # enumeration oracle vs the pruned search, both modes: from the bound up to
+        # counting oracle vs the pruned search, both modes: from the bound up to
         # the solved k, the search finds a labeling by j iff the oracle counts one at j
         rng = random.Random(20240817)
         instances = [C3, make_family("path", 4), make_family("star", 3), make_triangular_book(2)]
@@ -271,7 +281,7 @@ class TestCountLabelings:
 
 class TestMinimality:
     def test_book_five_modular_minimal(self):
-        # the solver's k = 4 is minimal: full enumeration at 3 finds nothing
+        # the solver's k = 4 is minimal: the exact count at 3 is zero
         assert count_labelings(make_triangular_book(5), "ms", 3) == 0
         assert solve(make_triangular_book(5), "ms").k == 4
 
