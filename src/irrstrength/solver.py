@@ -1,19 +1,16 @@
 """Exhaustive computation of exact strengths with certificates.
 
 Search runs iterative deepening on the max label k, starting from the
-counting lower bound. Each ``solve`` call builds one search plan and
-reuses it at every k: a greedy edge order that always takes next the edge
-closing the most vertices, so that vertices become final early. A step is
-(e, u, v, closing, opened, twins, front, rests, t): the edge, its
-endpoints, those it closes, those it leaves open with their counts of
-unassigned edges, the twin transpositions checked there, its frontier
-with the frontier's counts of unassigned edges, and where the untouched
-vertices start in the plan's first-touch order. A vertex whose
-incident edges are all assigned is final, and its value, its weight mod a
-span (``_span``, the oracle's rule too), must differ from every other
-final vertex, otherwise the branch is cut. The first full assignment in
-search-order DFS is mapped back to canonical edge order and returned, so
-the minimal feasible k yields a deterministic certificate.
+counting lower bound. Each ``solve`` call builds one search plan
+(``_search_plan``, whose docstring lists a step's fields) and reuses it at
+every k: a greedy edge order that always takes next the edge closing the
+most vertices, so that vertices become final early, found as the least of
+one int key per edge. A vertex whose incident edges are all assigned is
+final, and its value, its weight mod a span (``_span``, the oracle's rule
+too), must differ from every other final vertex, otherwise the branch is
+cut. The first full assignment in search-order DFS is mapped back to
+canonical edge order and returned, so the minimal feasible k yields a
+deterministic certificate.
 The values closed vertices took are kept as one int bitmask. A vertex
 still open, with weight w and r unassigned edges, can end only in
 [w + r, w + r*k] (mod the span); after each label, the search cuts the
@@ -32,24 +29,23 @@ the weights (mod the span) of its frontier, the vertices earlier steps
 touched and left open. When a step runs out of labels, that state goes
 into a table of failed subtrees, and a later entry in the same state
 returns at once (nogood recording, Dechter 1990, keyed by the state of
-frontier-based search). Steps inside a twin transposition's span get no
-key, as their twin cut reads labels set before them, so books, where the
-a <-> b swap spans the whole plan, search as without the table. The table
-holds at most ``_FAILED_CAP`` keys and is emptied when full.
-A keyed step entered afresh with a key not in the table also checks that
-every vertex not yet closed can still end at its own free value: the
-front vertices in their runs, the untouched ones in [degree, degree*k],
-matched greedily on the value line (the interval form of Hall's
-condition, bounds consistency for "all values distinct", Puget 1998). A
-state with no such matching fails like a step out of labels, and its key
-goes into the table. The reach cut above sees a tight set of vertices
-only once the last of them closes; this check sees it at once. The first
-step gets no key and no check: its key never repeats, and its check, on
-the degrees alone, is the counting bound k starts at. So books, whose
-a <-> b swap spans every later step, search exactly as before. On the
-benchmark's random corpus (20 graphs of order 8-11, both modes) the table
-and the check cut the nodes from 176,973 to 19,484 (70,507 with the table
-alone), and on its graph 10 in ``ms`` from 150,280 to 11,197.
+frontier-based search). The table holds at most ``_FAILED_CAP`` keys and
+is emptied when full. A keyed step entered afresh with a key not in the
+table also checks that every vertex not yet closed can still end at its
+own free value: the front vertices in their runs, the untouched ones in
+[degree, degree*k], matched greedily on the value line (the interval form
+of Hall's condition, bounds consistency for "all values distinct", Puget
+1998). A state with no such matching fails like a step out of labels, and
+its key goes into the table. The reach cut above sees a tight set of
+vertices only once the last of them closes; this check sees it at once.
+Steps inside a twin transposition's span get no key, as their twin cut
+reads labels set before them, and nor does the first step: its key never
+repeats, and its check, on the degrees alone, is the counting bound k
+starts at. So books, whose a <-> b swap spans every later step, search as
+without the table and the check. On the benchmark's random corpus (20
+graphs of order 8-11, both modes) the table and the check cut the nodes
+from 176,973 to 19,484 (70,507 with the table alone), and on its graph 10
+in ``ms`` from 150,280 to 11,197.
 No cut removes a valid labeling, and k starts at the degree-range
 counting bound, below which none exists, so the certificate is the same
 as that of the plain DFS.
@@ -62,7 +58,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -136,30 +131,45 @@ def _search_plan(g: Graph) -> tuple[list[tuple], tuple[int, ...]]:
     step 0 and on the steps j with min p < j <= max q for some
     transposition, whose subtree reads, through ``_least_label``, labels
     of steps before j; ``_search`` keys its failed-subtree table and runs
-    its Hall check only on the other steps, which list no transposition. Each step takes the
-    unassigned edge that closes the most vertices; ties go to the smallest
-    sum of the endpoints' unassigned degrees, then to the lowest index.
+    its Hall check only on the other steps, which list no transposition.
+
+    Each step takes the unassigned edge that closes the most vertices; ties
+    go to the smallest sum of the endpoints' unassigned degrees, then to
+    the lowest index. One int key per edge holds that rank, so ``min(keys)``
+    picks the edge, and a step changes only the keys at its endpoints.
     """
     ends = g.edge_tuples()
-    remaining = g.degrees().tolist()
-
-    def rank(e: int) -> tuple[int, int, int]:
-        u, v = ends[e]
-        closes = (remaining[u] == 1) + (remaining[v] == 1)
-        return -closes, remaining[u] + remaining[v], e
-
-    unassigned = set(range(g.size))
+    degrees = g.degrees().tolist()
+    # keys[e] = (2 - closes) * base**2 + (sum of the unassigned degrees) * base + e, every
+    # field below base; a step lowers by base the keys of the unassigned edges at its
+    # endpoints, by base**2 more a vertex's last one, which now closes it, and puts its
+    # own key above every live one
+    base = max(g.size, 2 * max(degrees, default=0)) + 1
+    square = base * base
+    keys, live = [], [[] for _ in degrees]  # live: each vertex's unassigned edges
+    for e, (u, v) in enumerate(ends):
+        keys.append((2 - (degrees[u] == 1) - (degrees[v] == 1)) * square + (degrees[u] + degrees[v]) * base + e)
+        live[u].append(e)
+        live[v].append(e)
     at = [{} for _ in range(g.order)]  # at[u][w]: the step of edge {u, w}
     plan = []
-    while unassigned:
-        e = min(unassigned, key=rank)
-        unassigned.remove(e)
+    for j in range(g.size):
+        e = min(keys) % base
+        keys[e] = 3 * square
         u, v = ends[e]
-        remaining[u] -= 1
-        remaining[v] -= 1
-        at[u][v] = at[v][u] = len(plan)
-        closing = tuple(w for w in (u, v) if not remaining[w])
-        plan.append((e, u, v, closing, tuple((w, remaining[w]) for w in (u, v) if remaining[w]), []))
+        closing, opened = [], []
+        for w in (u, v):
+            rest = live[w]
+            rest.remove(e)
+            if rest:
+                opened.append((w, len(rest)))
+                drop = base if len(rest) > 1 else base + square  # its last edge now closes it
+                for f in rest:
+                    keys[f] -= drop
+            else:
+                closing.append(w)
+        at[u][v] = at[v][u] = j
+        plan.append((e, u, v, tuple(closing), tuple(opened), []))
     # difference array of the unkeyed steps: the spans (min p, max q] twins read across,
     # and step 0, whose key never repeats and whose Hall check, on the degrees alone, is
     # the counting bound that k starts at
@@ -427,9 +437,11 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
     partial labelings that reach it: the values of closed vertices, as the
     bits of ``taken``, and the weights mod span of the front, the vertices
     touched and not closed (the state of frontier-based search, Kawahara,
-    Inoue, Iwashita and Minato 2017). An edge extends every state by each
-    label 1..k; an endpoint closes at its last edge, on a value no bit of
-    ``taken`` holds. A degree-0 vertex holds value 0.
+    Inoue, Iwashita and Minato 2017). A state is one int: each front
+    vertex's weight in a field of ``span.bit_length()`` bits, reused once
+    the vertex closes, and ``taken`` above every field. An edge extends
+    every state by each label 1..k; an endpoint closes at its last edge, on
+    a value no bit of ``taken`` holds. A degree-0 vertex holds value 0.
 
     ``k`` must be an integer (numpy integers too, ``bool`` not) and at
     least 1. A call that would make more than ``_COUNT_BUDGET`` label
@@ -448,36 +460,42 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
     isolated = remaining.count(0)
     if isolated > 1:
         return 0
-    front = []  # s[i] of a state s is the weight of front[i - 1]
-    states = {(isolated,): 1}  # a degree-0 vertex takes value 0, bit 0
-    extensions = 0
+    bits = span.bit_length()
+    field = (1 << bits) - 1
+    slots, free, steps = {}, [], []  # slots: each open vertex's field, as its shift
     for _, u, v, *_ in _search_plan(g)[0]:
+        su, sv = slots.get(u, 0), slots.get(v, 0)
+        mu, mv = (field << slots[w] if w in slots else 0 for w in (u, v))  # 0: untouched, of weight 0
+        for w in (u, v):
+            remaining[w] -= 1
+            if not remaining[w] and w in slots:
+                free.append(slots.pop(w))
+            elif remaining[w] and w not in slots:
+                slots[w] = free.pop() if free else len(slots) * bits
+        steps.append((su, mu, sv, mv, slots.get(u), slots.get(v)))  # None: the endpoint closes
+    one = 1 << (len(slots) + len(free)) * bits  # bit 0 of taken
+    states = {isolated * one: 1}  # a degree-0 vertex takes value 0
+    extensions = 0
+    for su, mu, sv, mv, pu, pv in steps:
         extensions += len(states) * k
         if extensions > _COUNT_BUDGET:
             raise ValueError(f"instance too large to count: over {_COUNT_BUDGET} label extensions")
-        remaining[u] -= 1
-        remaining[v] -= 1
-        at = {w: i for i, w in enumerate(front, 1)}
-        iu, iv = at.get(u, 0), at.get(v, 0)  # 0: untouched, of weight 0
-        cu, cv = not remaining[u], not remaining[v]
-        keep = [i for w, i in at.items() if w != u and w != v]
-        front = [front[i - 1] for i in keep] + [w for w in (u, v) if remaining[w]]
-        rest = itemgetter(*keep) if len(keep) > 1 else lambda s: tuple(s[i] for i in keep)
         extended = {}
         for s, count in states.items():
-            taken = s[0]
-            a = s[iu] if iu else 0
-            b = s[iv] if iv else 0
-            others = rest(s)
+            fu, fv = s & mu, s & mv
+            a, b, rest = fu >> su, fv >> sv, s - fu - fv
+            if pu is None and pv is None and a == b:  # x - y = a - b mod span: one value for both, every label
+                continue
             for lab in range(1, k + 1):
                 x = (a + lab) % span
                 y = (b + lab) % span
-                if cu and cv and x == y:
+                # an endpoint that closes sets the bit of its value in taken, if free; an open one, its field
+                if pu is None and s & (bit := one << x):
                     continue
-                bits = cu << x | cv << y  # the values of the endpoints that close
-                if taken & bits:
+                key = rest | (bit if pu is None else x << pu)
+                if pv is None and s & (bit := one << y):
                     continue
-                key = (taken | bits, *others, *(x, y)[cu : 2 - cv])  # the endpoints left open
+                key |= bit if pv is None else y << pv
                 extended[key] = extended.get(key, 0) + count
         states = extended
     return sum(states.values())

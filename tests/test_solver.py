@@ -36,6 +36,77 @@ def _pinned_corpus():
     return [random_solid_graph(rng, 8, 11, 0.3) for _ in range(20)]
 
 
+def _reference_plan(g):
+    """``_search_plan`` as it ranked edges before its integer keys, kept to
+    referee them: each step rescans every unassigned edge for the least
+    ``rank``. The twin and front passes are the planner's, copied unchanged,
+    so that every field of a step can be compared."""
+    ends = g.edge_tuples()
+    remaining = g.degrees().tolist()
+
+    def rank(e):
+        u, v = ends[e]
+        closes = (remaining[u] == 1) + (remaining[v] == 1)
+        return -closes, remaining[u] + remaining[v], e
+
+    unassigned = set(range(g.size))
+    at = [{} for _ in range(g.order)]
+    plan = []
+    while unassigned:
+        e = min(unassigned, key=rank)
+        unassigned.remove(e)
+        u, v = ends[e]
+        remaining[u] -= 1
+        remaining[v] -= 1
+        at[u][v] = at[v][u] = len(plan)
+        closing = tuple(w for w in (u, v) if not remaining[w])
+        plan.append((e, u, v, closing, tuple((w, remaining[w]) for w in (u, v) if remaining[w]), []))
+    covered = [1, -1] + [0] * (len(plan) - 1)
+    last = {}
+    for v in range(g.order):
+        mask = sum(1 << w for w in at[v])
+        for key in (mask, ~(mask | 1 << v)):
+            u = last.get(key)
+            last[key] = v
+            if u is not None:
+                pairs = [(p, at[v][w]) for w, p in at[u].items() if w != v]
+                cycles = tuple(sorted([(p, q) if p < q else (q, p) for p, q in pairs]))
+                top = -1
+                for _, q in cycles:
+                    plan[q][5].append(cycles)
+                    top = max(top, q)
+                if top >= 0:
+                    covered[cycles[0][0] + 1] += 1
+                    covered[top + 1] -= 1
+    depth = 0
+    first = {}
+    touched = {}
+    for j, (e, u, v, closing, opened, twins) in enumerate(plan):
+        depth += covered[j]
+        if depth:
+            plan[j] = (e, u, v, closing, opened, twins, None, None, None)
+        else:
+            plan[j] = (e, u, v, closing, opened, twins, tuple(touched), tuple(touched.values()), len(first))
+        first[u] = first[v] = None
+        touched.update(opened)
+        for w in closing:
+            touched.pop(w, None)
+    return plan, tuple(first)
+
+
+def _components(g):
+    parent = list(range(g.order))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in g.edge_tuples():
+        parent[root(u)] = root(v)
+    return len({root(x) for x in range(g.order)})
+
+
 # search nodes per instance of the corpora of ``test_plans_are_pinned``
 NODE_PINS = {
     ("books", "s"): [17, 10, 10, 14, 19, 24, 30, 36, 43, 50, 58, 66, 75, 84, 94, 104, 115, 126],
@@ -184,6 +255,17 @@ class TestCountLabelings:
         with pytest.raises(ValueError, match="too large"):
             count_labelings(make_family("path", 3), "s", 200)
 
+    @pytest.mark.parametrize("n, mode, k, extensions", [(5, "ms", 3, 1251), (6, "s", 3, 1287), (8, "s", 4, 14_720)])
+    def test_budget_exact_extension_counts(self, monkeypatch, n, mode, k, extensions):
+        # the label extensions each count makes, taken when a state was a tuple:
+        # a state packed into one int must merge exactly as the tuples did
+        g = make_triangular_book(n)
+        monkeypatch.setattr(solver, "_COUNT_BUDGET", extensions)
+        assert count_labelings(g, mode, k) == 0
+        monkeypatch.setattr(solver, "_COUNT_BUDGET", extensions - 1)
+        with pytest.raises(ValueError, match="too large"):
+            count_labelings(g, mode, k)
+
     def test_book_twelve_irregular_at_two_counts_nothing(self):
         g = make_triangular_book(12)
         assert 2**g.size == 2**25
@@ -260,7 +342,7 @@ class TestCountLabelings:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 2**20  # no search plan, which alone takes seconds on B_3000
+        assert peak < 5 * 2**20  # no search plan, which alone takes about a second on B_3000
 
     def test_agrees_with_pruned_search_counts(self):
         # counting oracle vs the pruned search, both modes: from the bound up to
@@ -311,6 +393,25 @@ class TestSearchOrder:
                 later = collections.Counter(x for _, a, b, *_ in plan[i + 1 :] for x in (a, b))
                 assert opened == tuple((w, later[w]) for w in (u, v) if later[w])
                 assert closing == tuple(w for w in (u, v) if not later[w])
+
+    def test_integer_keys_rank_as_the_reference(self):
+        # 320 random graphs of order 2-14 from sparse to complete, isolated
+        # vertices and several components included, and B_1..B_60: every field
+        # of every step, and the first-touch order, as the rescanning planner
+        rng = random.Random(24)
+        graphs = [make_triangular_book(n) for n in range(1, 61)]
+        graphs += [Graph(5, []), Graph(9, [(0, 1), (0, 2), (1, 2), (4, 5), (5, 6), (6, 7), (7, 4), (4, 6)])]
+        for _ in range(320):
+            order = rng.randint(2, 14)
+            p = rng.choice((0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0))
+            graphs.append(Graph(order, [(u, v) for u, v in itertools.combinations(range(order), 2) if rng.random() < p]))
+        isolated = several = complete = 0
+        for g in graphs:
+            assert _search_plan(g) == _reference_plan(g)
+            isolated += bool((g.degrees() == 0).any())
+            several += _components(g) > 1
+            complete += g.size == g.order * (g.order - 1) // 2
+        assert min(isolated, several, complete) >= 20
 
     def test_fronts_are_the_open_touched_vertices_outside_twin_spans(self):
         # a step's front: the vertices earlier steps touched and did not close,
