@@ -34,6 +34,13 @@ from irrstrength.books import (
 from irrstrength.cli import run
 
 
+def check(ok: bool, what: str, n: int) -> None:
+    """Exit 1 with one line naming the check and n unless ``ok``; unlike an assert, ``python -O`` does not strip it."""
+    if not ok:
+        print(f"check failed: {what}, n={n}", file=sys.stderr)
+        sys.exit(1)
+
+
 def five_page_impossibility() -> None:
     g = make_triangular_book(5)
     space = 3 ** g.size
@@ -43,7 +50,8 @@ def five_page_impossibility() -> None:
     print(f"\nB_5 at k=3: {found} modular labelings among all {space}, counted in {elapsed:.3f}s")
     result = solve(g, "ms")
     print(f"B_5 exact ms: {result.k} (search nodes {result.nodes})")
-    assert found == 0 and result.k == 4
+    check(found == 0, "no modular labeling at k=3", 5)
+    check(result.k == 4, "solved ms is 4", 5)
 
 
 def construction_sweep(sweep_to: int) -> None:
@@ -52,15 +60,15 @@ def construction_sweep(sweep_to: int) -> None:
     for n in range(1, sweep_to + 1):
         g = make_triangular_book(n)
         cert = make_certificate(g, irregular_labeling(n), "irregular")
-        assert verify_profile(cert.profile, "irregular").ok, n
-        assert cert.labeling.k == irregular_strength(n), n
-        assert cert.profile == predicted_weights(n, theorem=1), n
+        check(verify_profile(cert.profile, "irregular").ok, "Theorem 1 labeling is irregular", n)
+        check(cert.labeling.k == irregular_strength(n), "Theorem 1 largest label is s", n)
+        check(cert.profile == predicted_weights(n, theorem=1), "Theorem 1 weights as predicted", n)
         labeling = modular_labeling(n)
         if labeling is not None:
             cert = make_certificate(g, labeling, "modular")
-            assert verify_profile(cert.profile, "modular").ok, n
-            assert cert.labeling.k == modular_strength(n), n
-            assert cert.profile == predicted_weights(n, theorem=2), n
+            check(verify_profile(cert.profile, "modular").ok, "Theorem 2 labeling is modular", n)
+            check(cert.labeling.k == modular_strength(n), "Theorem 2 largest label is ms", n)
+            check(cert.profile == predicted_weights(n, theorem=2), "Theorem 2 weights as predicted", n)
             modular_checked += 1
     print(
         f"\nconstructions verified for n = 1..{sweep_to} "

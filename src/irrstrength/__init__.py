@@ -17,13 +17,11 @@ from .bounds import (
     bound_report,
     has_small_component,
     lower_bound_s,
-    modular_infinite,
 )
 from .graphs import (
     FormatError,
     Graph,
     format_edge_list,
-    make_family,
     make_triangular_book,
     parse_edge_list,
 )
@@ -66,9 +64,7 @@ __all__ = [
     "irregular_strength",
     "lower_bound_s",
     "make_certificate",
-    "make_family",
     "make_triangular_book",
-    "modular_infinite",
     "modular_labeling",
     "modular_strength",
     "parse_edge_list",

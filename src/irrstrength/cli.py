@@ -162,8 +162,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.start < 1 or args.stop < args.start:
-        print("table range must satisfy 1 <= from <= to", file=sys.stderr)
-        return 2
+        raise ValueError("table range must satisfy 1 <= from <= to")
     print(f"{'n':>6} {'s':>6} {'ms':>6} {'s_solved':>9} {'ms_solved':>10}")
     for n in range(args.start, args.stop + 1):
         closed = [books.irregular_strength(n), books.modular_strength(n)]
@@ -214,6 +213,3 @@ def run(argv: list[str]) -> int:
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
 
-
-if __name__ == "__main__":
-    main()

@@ -159,27 +159,6 @@ def make_triangular_book(n: int) -> Graph:
     return Graph._from_canonical(n + 2, edges)
 
 
-def make_family(kind: str, size: int) -> Graph:
-    """Small named families for the solver corpus: path, cycle, or star.
-
-    ``size`` is the vertex count for paths and cycles, the leaf count for
-    stars (star order is size + 1).
-    """
-    size = _integer(size, "size", 2)
-    if kind == "path":
-        i = np.arange(size - 1, dtype=np.int64)
-        return Graph(size, np.column_stack([i, i + 1]))
-    if kind == "cycle":
-        if size < 3:
-            raise ValueError("cycle needs at least 3 vertices")
-        i = np.arange(size, dtype=np.int64)
-        return Graph(size, np.column_stack([i, (i + 1) % size]))
-    if kind == "star":
-        leaves = np.arange(1, size + 1, dtype=np.int64)
-        return Graph(size + 1, np.column_stack([np.zeros(size, dtype=np.int64), leaves]))
-    raise ValueError(f"unknown family {kind!r}")
-
-
 _EDGE_LINE = "%d %d\n"
 
 

@@ -1,56 +1,26 @@
 """Exhaustive computation of exact strengths with certificates.
 
-Search runs iterative deepening on the max label k, starting from the
-counting lower bound. Each ``solve`` call builds one search plan
-(``_search_plan``, whose docstring lists a step's fields) and reuses it at
-every k: a greedy edge order that always takes next the edge closing the
-most vertices, so that vertices become final early, found as the least of
-one int key per edge. A vertex whose incident edges are all assigned is
-final, and its value, its weight mod a span (``_span``, the oracle's rule
-too), must differ from every other final vertex, otherwise the branch is
-cut. The first full assignment in search-order DFS is mapped back to
-canonical edge order and returned, so the minimal feasible k yields a
-deterministic certificate.
-The values closed vertices took are kept as one int bitmask. A vertex
-still open, with weight w and r unassigned edges, can end only in
-[w + r, w + r*k] (mod the span); after each label, the search cuts the
-branch if an endpoint in the step's ``opened`` has every value of that run
-already taken (one shifted AND against the mask). Only the first
-``order`` values of a run are checked, in both modes: an open vertex holds
-no value, so any ``order`` values in a row include a free one.
-Twins u, v, with N(u) - {v} = N(v) - {u} (equal open or closed
-neighbourhoods), give an automorphism (u v). For each two consecutive
-members of a twin class, search skips every label that would make the
-labels so far lex-greater, in plan order, than their image under (u v)
-(lex-leader symmetry breaking). That image is valid too, so the first
-solution in DFS order is never lex-greater: certificates stay the same.
-The subtree below a step depends only on the step, the values taken and
-the weights (mod the span) of its frontier, the vertices earlier steps
-touched and left open. When a step runs out of labels, that state goes
-into a table of failed subtrees, and a later entry in the same state
-returns at once (nogood recording, Dechter 1990, keyed by the state of
-frontier-based search). The table holds at most ``_FAILED_CAP`` keys and
-is emptied when full. A keyed step entered afresh with a key not in the
-table also checks that every vertex not yet closed can still end at its
-own free value: the front vertices in their runs, the untouched ones in
-[degree, degree*k], matched greedily on the value line (the interval form
-of Hall's condition, bounds consistency for "all values distinct", Puget
-1998). A state with no such matching fails like a step out of labels, and
-its key goes into the table. The reach cut above sees a tight set of
-vertices only once the last of them closes; this check sees it at once.
-Steps inside a twin transposition's span get no key, as their twin cut
-reads labels set before them, and nor does the first step: its key never
-repeats, and its check, on the degrees alone, is the counting bound k
-starts at. So books, whose a <-> b swap spans every later step, search as
-without the table and the check. On the benchmark's random corpus (20
-graphs of order 8-11, both modes) the table and the check cut the nodes
-from 176,973 to 19,484 (70,507 with the table alone), and on its graph 10
-in ``ms`` from 150,280 to 11,197.
-No cut removes a valid labeling, and k starts at the degree-range
-counting bound, below which none exists, so the certificate is the same
-as that of the plain DFS.
+``solve`` deepens the largest label k from the degree-range counting
+bound, below which no labeling exists. At each k, ``_search`` runs a
+depth-first search over the one edge order that ``_search_plan`` builds,
+and its first solution, in canonical edge order, is the certificate. The
+search cuts a branch on five grounds, each documented where it is made:
+
+- collision: a closed vertex's value, its weight mod ``_span``, is taken
+  (``_search``);
+- reach: an open vertex can reach no free value (``_search``);
+- twins: lex-leader symmetry breaking for twins u, v with N(u) - {v} =
+  N(v) - {u}, whose swap is an automorphism (``_least_label``, over the
+  transpositions that ``_search_plan`` lists per step);
+- nogoods: a table of the failed subtree states, Dechter 1990 (``_search``);
+- Hall: the vertices not yet closed cannot all take distinct free values,
+  Puget 1998 (``_hall``).
+
+No cut removes the first solution in DFS order: a twin swap maps a valid
+labeling to a valid one, so that solution is never lex-greater than its
+image. Certificates are therefore those of the plain DFS.
 ``count_labelings`` is the independent counting oracle the search is
-cross-checked against, with none of its cuts; its docstring says how it counts.
+cross-checked against, with none of its cuts.
 """
 
 from __future__ import annotations

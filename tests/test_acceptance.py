@@ -1,15 +1,20 @@
-"""Acceptance gate: one test per criterion, one printed line per criterion.
+"""Acceptance gate: one test per criterion, one printed line per criterion, then the public surface.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 """
 
+import ast
+import pkgutil
 import random
 import time
 from contextlib import contextmanager
 from itertools import product
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import irrstrength
 from irrstrength import (
     EdgeLabeling,
     SolverConfig,
@@ -18,7 +23,6 @@ from irrstrength import (
     count_labelings,
     lower_bound_s,
     make_certificate,
-    make_family,
     make_triangular_book,
     solve,
     verify_irregular,
@@ -33,7 +37,7 @@ from irrstrength.books import (
     predicted_weights,
 )
 
-from conftest import random_graph, random_labeling, random_solid_graph
+from conftest import make_family, random_graph, random_labeling, random_solid_graph
 
 
 @contextmanager
@@ -224,3 +228,33 @@ def test_criterion_7_property_suite_over_randomized_instances():
                 )
                 repeats_checked += 1
         assert repeats_checked > 0
+
+
+# each name a caller outside the tests imports, and every type those calls return or raise
+PUBLIC = [
+    "BoundReport", "Certificate", "EdgeLabeling", "FormatError", "Graph", "SolverConfig",
+    "StrengthResult", "Verdict", "WeightProfile", "bound_report", "certificate_from_json",
+    "certificate_to_dot", "certificate_to_json", "count_labelings", "format_edge_list",
+    "has_small_component", "irregular_labeling", "irregular_strength", "lower_bound_s",
+    "make_certificate", "make_triangular_book", "modular_labeling", "modular_strength",
+    "parse_edge_list", "predicted_weights", "solve", "verify_irregular", "verify_modular",
+    "verify_profile", "vertex_weights",
+]
+
+
+def test_public_surface():
+    """``irrstrength`` exports the names above, each one there, and all that the bench and the scripts import."""
+    assert sorted(irrstrength.__all__) == PUBLIC
+    assert all(hasattr(irrstrength, name) for name in PUBLIC)
+    root = Path(__file__).resolve().parent.parent
+    imported = set()
+    for path in [root / "bench" / "workloads.py", *sorted((root / "scripts").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "irrstrength":
+                imported.update(alias.name for alias in node.names)
+    submodules = {module.name for module in pkgutil.iter_modules(irrstrength.__path__)}
+    assert "solve" in imported and "cli" in imported
+    assert imported <= set(PUBLIC) | submodules, imported - set(PUBLIC) - submodules
+    for name in ("make_family", "modular_infinite"):
+        with pytest.raises(ImportError):
+            exec(f"from irrstrength import {name}", {})

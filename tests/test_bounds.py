@@ -9,14 +9,12 @@ from irrstrength import (
     bound_report,
     count_labelings,
     lower_bound_s,
-    make_family,
     make_triangular_book,
-    modular_infinite,
     solve,
 )
-from irrstrength.bounds import has_small_component
+from irrstrength.bounds import has_small_component, modular_infinite
 
-from conftest import random_solid_graph
+from conftest import make_family, random_solid_graph
 
 
 def _pair_bound(g) -> int:

@@ -14,11 +14,12 @@ from irrstrength import (
     certificate_to_json,
     format_edge_list,
     make_certificate,
-    make_family,
     make_triangular_book,
     modular_labeling,
 )
 from irrstrength.cli import run
+
+from conftest import make_family
 
 B3 = make_triangular_book(3)
 B3_EDGES = format_edge_list(B3)
@@ -337,8 +338,9 @@ class TestTableVerb:
             assert ms_solved == ms_formula
 
     def test_bad_range(self, capsys):
-        code, _, err = invoke(capsys, "table", "--from", "5", "--to", "3")
+        code, out, err = invoke(capsys, "table", "--from", "5", "--to", "3")
         assert code == 2
+        assert (out, err) == ("", "error: table range must satisfy 1 <= from <= to\n")
 
     def test_solved_row_off_the_closed_form_exits_one(self, capsys, monkeypatch):
         closed_form = irrstrength.books.modular_strength

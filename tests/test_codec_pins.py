@@ -15,11 +15,12 @@ from irrstrength import (
     format_edge_list,
     irregular_labeling,
     make_certificate,
-    make_family,
     make_triangular_book,
     modular_labeling,
     solve,
 )
+
+from conftest import make_family
 
 FAMILIES = [("path", 2), ("path", 7), ("cycle", 3), ("cycle", 8), ("star", 5)]
 BOOKS = range(1, 301)

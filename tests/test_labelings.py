@@ -13,7 +13,6 @@ from irrstrength import (
     certificate_to_dot,
     certificate_to_json,
     make_certificate,
-    make_family,
     make_triangular_book,
     modular_labeling,
     solve,
@@ -33,6 +32,9 @@ from irrstrength.labelings import (
     _writer_doc,
     verify_profile,
 )
+
+from conftest import make_family
+
 
 C3 = make_family("cycle", 3)
 

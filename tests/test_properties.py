@@ -14,7 +14,6 @@ from irrstrength import (
     certificate_to_json,
     count_labelings,
     make_certificate,
-    make_family,
     make_triangular_book,
     verify_irregular,
     verify_modular,
@@ -31,6 +30,8 @@ from irrstrength.books import (
 )
 from irrstrength.bounds import has_small_component, lower_bound_s
 from irrstrength.labelings import LABEL_LIMIT
+
+from conftest import make_family
 
 
 @st.composite

@@ -15,7 +15,6 @@ from irrstrength import (
     certificate_to_json,
     count_labelings,
     lower_bound_s,
-    make_family,
     make_triangular_book,
     solve,
     verify_irregular,
@@ -25,7 +24,7 @@ from irrstrength import solver
 from irrstrength.books import irregular_strength, modular_strength
 from irrstrength.solver import _search_plan
 
-from conftest import random_solid_graph
+from conftest import make_family, random_solid_graph
 
 C3 = make_family("cycle", 3)
 
