@@ -49,8 +49,12 @@ class Graph:
         u, v = arr.T
         if np.any(u == v):
             raise ValueError("self-loops are not allowed")
-        key = np.minimum(u, v) * order + np.maximum(u, v)
-        if not ((u < v).all() and (key[1:] > key[:-1]).all()):
+        ordered = (u < v).all()
+        if not ordered:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        key = u * order
+        key += v  # in place: one key array is the only temporary as large as a column
+        if not (ordered and (key[1:] > key[:-1]).all()):
             key.sort()
             if np.any(key[1:] == key[:-1]):
                 raise ValueError("duplicate edges are not allowed")
@@ -164,7 +168,7 @@ _EDGE_LINE = "%d %d\n"
 
 def format_edge_list(g: Graph) -> str:
     """Edge-list text: first line ``order m``, then one ``u v`` line per edge."""
-    return _rows(_EDGE_LINE, np.r_[g.order, g.edges[:, 0]], np.r_[g.size, g.edges[:, 1]])
+    return _EDGE_LINE % (g.order, g.size) + _rows(_EDGE_LINE, *g.edges.T)
 
 
 # 4 ASCII bytes per group of 4 digits: "%04d" below a higher group, then the leading
@@ -218,14 +222,25 @@ def _cells(values: np.ndarray, g: int) -> np.ndarray:
 _DIGITS = b"0123456789"
 _DIGITS_ONLY = bytes(c if c in _DIGITS else 32 for c in range(256))
 _POWERS = 10 ** np.arange(1, 18, dtype=np.int64)
+_CHUNK = 1 << 16  # the bytes of text, or the values, that a reader's checks hold at once
 
 
-def _decimals(raw: bytes, layout: bytes) -> np.ndarray | None:
-    """Each run of ASCII digits in ``raw`` (``layout`` without them) as int64, or None on a leading zero or 10^18 up."""
-    values = np.fromstring(raw.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
+def _decimals(text: str | bytes) -> tuple[np.ndarray | None, bytes]:
+    """Each run of digits in ASCII ``text`` as int64 (None on a leading zero or 10^18 up), and ``text`` without them.
+
+    While the numbers are parsed, the only copies of ``text`` held here are
+    its digit-only copy and its layout: a ``str``'s encoded copy goes first,
+    and the spelled digits are counted a chunk of values at a time.
+    """
+    raw = text.encode("ascii") if isinstance(text, str) else text
+    digits, layout = raw.translate(_DIGITS_ONLY), raw.translate(None, _DIGITS)
+    del raw
+    values = np.fromstring(digits, dtype=np.int64, sep=" ")
     # digits counted up to 18, so a leading zero or a value from 10^18 up (clipped to int64 or not) spells more
-    spelled = values.size + int(np.searchsorted(_POWERS, values, side="right").sum())
-    return values if len(raw) - len(layout) == spelled else None
+    spelled = values.size
+    for at in range(0, values.size, _CHUNK):
+        spelled += int(np.searchsorted(_POWERS, values[at : at + _CHUNK], side="right").sum())
+    return (values if len(digits) - len(layout) == spelled else None), layout
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -243,9 +258,7 @@ def _writer_fields(text: str) -> tuple[int, np.ndarray] | None:
     """The order and the (m, 2) endpoints, or None unless ``text`` is ``format_edge_list``'s layout with u < v."""
     if not (text.isascii() and text.endswith("\n")):
         return None
-    raw = text.encode("ascii")
-    layout = raw.translate(None, _DIGITS)
-    values = _decimals(raw, layout)
+    values, layout = _decimals(text)
     if values is None or values.size < 2 or values.size != 2 * int(values[1]) + 2:
         return None
     # with a break last, 2m + 2 values for 2m + 2 separators put one value before each

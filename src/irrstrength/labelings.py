@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _DIGITS, ORDER_LIMIT, FormatError, Graph, _decimals, _integer_array, _rows
+from .graphs import _CHUNK, ORDER_LIMIT, FormatError, Graph, _decimals, _integer_array, _rows
 
 LABEL_LIMIT = 10**6
 
@@ -193,6 +193,18 @@ _SLOT_SIDES = bytes({ord(":"): 1, ord("["): 1, ord(","): 3, ord("]"): 2}.get(c, 
 _MODE_ENDS = {(_MODE_KEY + json.dumps(mode) + "}").encode(): mode for mode in (IRREGULAR, MODULAR)}
 
 
+def _empty_slot(text: str | bytes) -> bool:
+    """Whether ASCII ``text`` closes a number's slot right where it opens one, read a chunk at a time."""
+    for start in range(0, len(text), _CHUNK):
+        chunk = text[start : start + _CHUNK + 1]  # one byte of overlap, so every two neighbours share a chunk
+        if isinstance(chunk, str):
+            chunk = chunk.encode("ascii")
+        sides = np.frombuffer(chunk.translate(_SLOT_SIDES), dtype=np.uint8)
+        if (sides[:-1] & (sides[1:] >> 1)).any():
+            return True
+    return False
+
+
 def _writer_doc(text: str | bytes) -> dict | None:
     """The fields of ``text`` read as whole arrays, or None unless it is the writer's output.
 
@@ -201,18 +213,14 @@ def _writer_doc(text: str | bytes) -> dict | None:
     numbers it holds: every other text is left to ``json.loads``, so both
     read alike and fail alike.
     """
-    raw = text.encode("ascii") if isinstance(text, str) and text.isascii() else text
-    if not (isinstance(raw, bytes) and raw.isascii()):
+    if not (isinstance(text, (str, bytes)) and text.isascii()) or _empty_slot(text):
         return None
-    raw = raw.strip(b" \t\n\r")
-    sides = np.frombuffer(raw.translate(_SLOT_SIDES), dtype=np.uint8)
-    if (sides[:-1] & (sides[1:] >> 1)).any():  # an empty slot, so values could sit outside the slots
-        return None
-    # with every slot filled, a value count that matches the layout puts one value in each slot
-    layout = raw.translate(None, _DIGITS)
-    values = _decimals(raw, layout)
+    # with every slot filled, a value count that matches the layout puts one value in each slot;
+    # digits next to the stripped space would be values outside the slots, so that count rejects them
+    values, layout = _decimals(text)
     if values is None or not values.size:
         return None
+    layout = layout.strip(b" \t\n\r")
     order = int(values[0])
     m, rest = divmod(values.size - 2 - 2 * order, 3)
     if m < 1 or order < 1 or rest:
@@ -226,7 +234,7 @@ def _writer_doc(text: str | bytes) -> dict | None:
     return {
         "order": order,
         "edges": edges.reshape(m, 2),
-        "labels": labels,
+        "labels": labels.copy(),  # its own memory, so a labeling never keeps the parsed numbers alive
         "weights": weights,
         "residues": residues,
         "k": int(k[0]),
