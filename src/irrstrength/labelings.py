@@ -45,7 +45,7 @@ class EdgeLabeling:
         k = int(arr.max())
         if k > LABEL_LIMIT:
             raise ValueError(f"label {k} exceeds supported limit {LABEL_LIMIT}")
-        arr = arr.astype(np.int64, copy=False)
+        arr = arr.astype(np.int64)  # a copy, so the caller's array stays writable and apart
         arr.setflags(write=False)
         self.labels = arr
         self.k = k
@@ -234,7 +234,7 @@ def _writer_doc(text: str | bytes) -> dict | None:
     return {
         "order": order,
         "edges": edges.reshape(m, 2),
-        "labels": labels.copy(),  # its own memory, so a labeling never keeps the parsed numbers alive
+        "labels": labels,
         "weights": weights,
         "residues": residues,
         "k": int(k[0]),

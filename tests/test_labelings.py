@@ -82,6 +82,14 @@ class TestEdgeLabeling:
         with pytest.raises(ValueError):
             f.labels[0] = 3
 
+    def test_caller_array_stays_writable_and_apart(self):
+        a = np.array([1, 2, 3], dtype=np.int64)
+        f = EdgeLabeling(a)
+        assert a.flags.writeable
+        assert not np.shares_memory(a, f.labels)
+        a[0] = 7
+        assert f.labels.tolist() == [1, 2, 3]
+
 
 class TestVertexWeights:
     def test_triangle_one_two_three(self):
