@@ -153,11 +153,14 @@ def _search_plan(g: Graph) -> tuple[list[tuple], tuple[int, ...]]:
             if u is not None:
                 pairs = [(p, at[v][w]) for w, p in at[u].items() if w != v]
                 cycles = tuple(sorted([(p, q) if p < q else (q, p) for p, q in pairs]))
+                top = -1  # the last step of a cycle, none for twins with no neighbour but each other
                 for _, q in cycles:
                     plan[q][5].append(cycles)
-                if cycles:  # none for twins with no neighbour but each other
+                    if q > top:
+                        top = q
+                if top >= 0:
                     covered[cycles[0][0] + 1] += 1
-                    covered[max(q for _, q in cycles) + 1] -= 1
+                    covered[top + 1] -= 1
     depth = 0
     first = {}  # the vertices earlier steps touched, in first-touch order
     touched = {}  # those of them not closed, each with its unassigned edges
@@ -404,9 +407,9 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
     partial labelings that reach it: the values of closed vertices, as the
     bits of ``taken``, and the weights mod span of the front, the vertices
     touched and not closed (the state of frontier-based search, Kawahara,
-    Inoue, Iwashita and Minato 2017). A state is one int: vertex v's weight
-    in its fixed field of b = ``span.bit_length()`` bits at bit v * b, 0
-    unless v is open, and ``taken`` from bit order * b up. An edge extends
+    Inoue, Iwashita and Minato 2017). A state is one int: each front
+    vertex's weight in a field of ``span.bit_length()`` bits, reused once
+    the vertex closes, and ``taken`` above every field. An edge extends
     every state by each label 1..k; an endpoint closes at its last edge, on
     a value no bit of ``taken`` holds. A degree-0 vertex holds value 0.
 
@@ -429,34 +432,40 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
         return 0
     bits = span.bit_length()
     field = (1 << bits) - 1
-    one = 1 << g.order * bits  # bit 0 of taken
+    slots, free, steps = {}, [], []  # slots: each open vertex's field, as its shift
+    for _, u, v, *_ in _search_plan(g)[0]:
+        su, sv = slots.get(u, 0), slots.get(v, 0)
+        mu, mv = (field << slots[w] if w in slots else 0 for w in (u, v))  # 0: untouched, of weight 0
+        for w in (u, v):
+            remaining[w] -= 1
+            if not remaining[w] and w in slots:
+                free.append(slots.pop(w))
+            elif remaining[w] and w not in slots:
+                slots[w] = free.pop() if free else len(slots) * bits
+        steps.append((su, mu, sv, mv, slots.get(u), slots.get(v)))  # None: the endpoint closes
+    one = 1 << (len(slots) + len(free)) * bits  # bit 0 of taken
     states = {isolated * one: 1}  # a degree-0 vertex takes value 0
     extensions = 0
-    for _, u, v, *_ in _search_plan(g)[0]:
+    for su, mu, sv, mv, pu, pv in steps:
         extensions += len(states) * k
         if extensions > _COUNT_BUDGET:
             raise ValueError(f"instance too large to count: over {_COUNT_BUDGET} label extensions")
-        su, sv = u * bits, v * bits
-        mu, mv = field << su, field << sv
-        remaining[u] -= 1
-        remaining[v] -= 1
-        cu, cv = not remaining[u], not remaining[v]  # the endpoint closes
         extended = {}
         for s, count in states.items():
             fu, fv = s & mu, s & mv
             a, b, rest = fu >> su, fv >> sv, s - fu - fv
-            if cu and cv and a == b:  # x - y = a - b mod span: one value for both, every label
+            if pu is None and pv is None and a == b:  # x - y = a - b mod span: one value for both, every label
                 continue
             for lab in range(1, k + 1):
                 x = (a + lab) % span
                 y = (b + lab) % span
                 # an endpoint that closes sets the bit of its value in taken, if free; an open one, its field
-                if cu and s & (bit := one << x):
+                if pu is None and s & (bit := one << x):
                     continue
-                key = rest | (bit if cu else x << su)
-                if cv and s & (bit := one << y):
+                key = rest | (bit if pu is None else x << pu)
+                if pv is None and s & (bit := one << y):
                     continue
-                key |= bit if cv else y << sv
+                key |= bit if pv is None else y << pv
                 extended[key] = extended.get(key, 0) + count
         states = extended
     return sum(states.values())

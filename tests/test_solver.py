@@ -311,6 +311,24 @@ class TestCountLabelings:
             tracemalloc.stop()
         assert peak < 5 * 2**20  # no search plan, which alone takes about a second on B_3000
 
+    def test_state_width_follows_the_front_not_the_order(self, monkeypatch):
+        # 300 disjoint triangles: order 900, a front of at most two vertices;
+        # states that gave every vertex a field of its own would take about
+        # ten times the plan's memory before the budget stops the count
+        g = Graph(900, [(3 * t + i, 3 * t + j) for t in range(300) for i, j in ((0, 1), (1, 2), (0, 2))])
+        monkeypatch.setattr(solver, "_COUNT_BUDGET", 2**15)
+        tracemalloc.start()
+        try:
+            solver._search_plan(g)
+            plan = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(ValueError, match="too large"):
+                count_labelings(g, "s", 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * plan
+
     def test_agrees_with_pruned_search_counts(self):
         # counting oracle vs the pruned search, both modes: from the bound up to
         # the solved k, the search finds a labeling by j iff the oracle counts one at j
