@@ -53,11 +53,6 @@ def lower_bound_s(g: Graph) -> int:
         raise ValueError("bound undefined for the empty graph")
     if has_small_component(g):
         raise ValueError("graph has a component of order <= 2; strength is infinite")
-    return _counting_bound(g)
-
-
-def _counting_bound(g: Graph) -> int:
-    """The degree-range bound of a graph with no vertex of degree 0."""
     # a plain loop: a numpy version over all pairs costs more on small graphs
     counts = np.bincount(g.degrees())
     degrees = np.flatnonzero(counts)

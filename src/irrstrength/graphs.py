@@ -9,8 +9,8 @@ equal neighbours (duplicates) and rebuilt by ``divmod``. Graphs are
 immutable after construction; the triangular book constructor pins a = 0,
 b = 1 and c_i = i + 1 so emitted certificates are comparable across runs.
 
-Edge-list text in ``format_edge_list``'s own layout, with LF or CRLF line
-ends, is parsed as whole arrays; any other text is parsed line by line,
+Edge-list text in ``format_edge_list``'s own layout is parsed as whole
+arrays; any other text, CRLF line ends included, is parsed line by line,
 which raises every error of the grammar, so both paths accept and reject
 alike. All text codecs read numbers through ``_decimals`` and write them
 through ``_rows``.
@@ -245,9 +245,7 @@ def _decimals(text: str | bytes) -> tuple[np.ndarray | None, bytes]:
 
 def parse_edge_list(text: str) -> Graph:
     """``order m``, then exactly m non-blank ``u v`` lines; see the README for the grammar."""
-    # CRLF text in the writer's layout is read whole too; testing for "\r" first spares other text the copy
-    fields = _writer_fields(text.replace("\r\n", "\n") if "\r" in text else text)
-    order, edges = _edge_lines(text) if fields is None else fields
+    order, edges = _writer_fields(text) or _edge_lines(text)
     try:
         return Graph(order, edges)
     except ValueError as exc:
@@ -262,7 +260,7 @@ def _writer_fields(text: str) -> tuple[int, np.ndarray] | None:
     if values is None or values.size < 2 or values.size != 2 * int(values[1]) + 2:
         return None
     # with a break last, 2m + 2 values for 2m + 2 separators put one value before each
-    if layout != _EDGE_LINE.replace("%d", "").encode() * (values.size // 2) or values[0] > ORDER_LIMIT:
+    if layout != _EDGE_LINE.replace("%d", "").encode() * (values.size // 2):
         return None
     edges = values[2:].reshape(-1, 2)
     return (int(values[0]), edges) if (edges[:, 0] < edges[:, 1]).all() else None

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _counting_bound, has_small_component, modular_infinite
+from .bounds import has_small_component, lower_bound_s, modular_infinite
 from .graphs import Graph, _integer
 from .labelings import (
     IRREGULAR,
@@ -364,7 +364,7 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     if mode == MODE_MS and has_small_component(g):
         raise ValueError("modular strength undefined for graphs with a component of order <= 2")
 
-    lb = _counting_bound(g)
+    lb = lower_bound_s(g)
     k_max = cfg.k_max if cfg.k_max is not None else 2 * g.order + 2
     if k_max < lb:
         raise ValueError(f"k_max={k_max} is below the lower bound {lb}")
@@ -414,9 +414,9 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
     a value no bit of ``taken`` holds. A degree-0 vertex holds value 0.
 
     ``k`` must be an integer (numpy integers too, ``bool`` not) and at
-    least 1. A call that would make more than ``_COUNT_BUDGET`` label
-    extensions (states times k, summed over the edges) raises ``ValueError``
-    instead, which bounds its time and its number of states.
+    least 1. More than ``_COUNT_BUDGET`` label extensions (states times k,
+    summed over the edges) raise ``ValueError``, which bounds the DP's time
+    and states; the plan before it costs O(m^2) time, with no budget.
     """
     if mode not in (MODE_S, MODE_MS):
         raise ValueError(f"mode must be '{MODE_S}' or '{MODE_MS}', got {mode!r}")

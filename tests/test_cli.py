@@ -278,6 +278,23 @@ class TestNonUtf8Input:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+class TestLineEnds:
+    """The CLI's text-mode read is the one line-end rule: CRLF and lone-CR edge lists read as LF."""
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_prints_what_lf_prints(self, capsys, tmp_path, end):
+        _, text, _ = invoke(capsys, "book", "--n", "1000")
+        cert = tmp_path / "c.json"
+        assert invoke(capsys, "label", "--n", "1000", "--theorem", "1", "--out", str(cert))[0] == 0
+        lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
+        lf.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", end).encode())
+        for verb, *rest in (["bound"], ["verify", "--cert", str(cert), "--mode", "irregular"]):
+            want = invoke(capsys, verb, "--graph", str(lf), *rest)
+            assert want[0] == 0
+            assert invoke(capsys, verb, "--graph", str(other), *rest) == want
+
+
 class TestSolveVerb:
     def test_modular_book_five(self, capsys, tmp_path):
         graph_file = tmp_path / "g.txt"
