@@ -4,7 +4,9 @@ The classical lower bound for the irregularity strength (Chartrand et al.,
 "Irregular networks", 1988) takes, over every pair of occurring degrees
 i <= j, the value ceil((n_i + ... + n_j + i - 1) / j) where n_d is the
 number of vertices of degree exactly d: under labels in 1..k, the vertices
-with degree in [i, j] need distinct weights in [i, k * j]. A modular
+with degree in [i, j] need distinct weights in [i, k * j]. It reads the
+pairs (d, n_d) from the graph's degree histogram, computed once per graph
+and stated in closed form by ``make_triangular_book``. A modular
 irregular labeling is in particular an irregular assignment (distinct
 residues force distinct weights), so the same value bounds the modular
 strength from below; for orders congruent to 2 mod 4 no modular irregular
@@ -15,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graphs import Graph
 
@@ -36,12 +36,12 @@ def has_small_component(g: Graph) -> bool:
     Such a component is either an isolated vertex (degree 0) or a lone
     edge whose two endpoints both have degree 1; no traversal is needed.
     """
-    deg = g.degrees()
     if g.order == 0:
         return False
-    least = deg.min()
+    least = g._degree_counts()[0][0]
     if least != 1:  # an isolated vertex, or no vertex that could end a lone edge
-        return bool(least == 0)
+        return least == 0
+    deg = g.degrees()
     u = g.edges[:, 0]
     v = g.edges[:, 1]
     return bool(((deg[u] == 1) & (deg[v] == 1)).any())
@@ -54,9 +54,7 @@ def lower_bound_s(g: Graph) -> int:
     if has_small_component(g):
         raise ValueError("graph has a component of order <= 2; strength is infinite")
     # a plain loop: a numpy version over all pairs costs more on small graphs
-    counts = np.bincount(g.degrees())
-    degrees = np.flatnonzero(counts)
-    pairs = list(zip(degrees.tolist(), counts[degrees].tolist()))
+    pairs = list(zip(*g._degree_counts()))
     best = 0
     for a, (i, _) in enumerate(pairs):
         total = i - 1

@@ -9,6 +9,12 @@ equal neighbours (duplicates) and rebuilt by ``divmod``. Graphs are
 immutable after construction; the triangular book constructor pins a = 0,
 b = 1 and c_i = i + 1 so emitted certificates are comparable across runs.
 
+Three derived facts are lazy slots, computed on first use and kept: the
+degree array (``degrees()``), the runs of edges up (``_up_runs()``) and
+the degree histogram (``_degree_counts()``). ``make_triangular_book``
+fills the runs and the histogram from its closed form; its degree array,
+order-sized, is left to be computed if asked for.
+
 Edge-list text in ``format_edge_list``'s own layout is parsed as whole
 arrays; any other text, CRLF line ends included, is parsed line by line,
 which raises every error of the grammar, so both paths accept and reject
@@ -32,7 +38,7 @@ class FormatError(ValueError):
 class Graph:
     """Immutable simple graph: vertex count plus canonical sorted edge list."""
 
-    __slots__ = ("order", "_edges", "_degrees", "_runs")
+    __slots__ = ("order", "_edges", "_degrees", "_runs", "_counts")
 
     def __init__(self, order: int, edges) -> None:
         order = _integer(order, "order", 0)
@@ -67,9 +73,13 @@ class Graph:
         return cls.__new__(cls)._set(order, arr)
 
     def _set(self, order: int, arr: np.ndarray) -> "Graph":
-        """Freeze the canonical ``arr`` and fill every slot, the lazy ones empty; returns self."""
+        """Freeze the canonical ``arr`` and fill every slot; returns self.
+
+        The lazy slots ``_degrees``, ``_runs`` and ``_counts`` start empty;
+        ``make_triangular_book`` then fills ``_runs`` and ``_counts``.
+        """
         arr.setflags(write=False)
-        self.order, self._edges, self._degrees, self._runs = order, arr, None, None
+        self.order, self._edges, self._degrees, self._runs, self._counts = order, arr, None, None, None
         return self
 
     @property
@@ -102,6 +112,14 @@ class Graph:
             bounds = np.flatnonzero(new)
             self._runs = (u[bounds[:-1]], bounds)
         return self._runs
+
+    def _degree_counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(degrees, counts)``: each occurring degree, ascending, and how many vertices have it."""
+        if self._counts is None:
+            counts = np.bincount(self.degrees())
+            present = np.flatnonzero(counts)
+            self._counts = (tuple(present.tolist()), tuple(counts[present].tolist()))
+        return self._counts
 
     def edge_tuples(self) -> list[tuple[int, int]]:
         return list(zip(*self._edges.T.tolist()))
@@ -148,7 +166,9 @@ def make_triangular_book(n: int) -> Graph:
 
     Vertices: a = 0, b = 1, page apexes c_i = i + 1 for 1 <= i <= n.
     Order n + 2, size 2n + 1. The canonical edge order is ab, then
-    ac_1..ac_n, then bc_1..bc_n.
+    ac_1..ac_n, then bc_1..bc_n. The lazy slots ``_runs`` (two runs up,
+    from a and from b) and ``_counts`` (n apexes of degree 2, a and b of
+    degree n + 1) are filled from this closed form; ``_degrees`` is not.
     """
     n = _integer(n, "page count", 1)
     if n + 2 > ORDER_LIMIT:
@@ -160,7 +180,10 @@ def make_triangular_book(n: int) -> Graph:
     edges[1 : n + 1, 1] = apex
     edges[n + 1 :, 0] = 1
     edges[n + 1 :, 1] = apex
-    return Graph._from_canonical(n + 2, edges)
+    g = Graph._from_canonical(n + 2, edges)
+    g._runs = (np.array([0, 1], dtype=np.int64), np.array([0, n + 1, 2 * n + 1], dtype=np.int64))
+    g._counts = ((2,), (3,)) if n == 1 else ((2, n + 1), (n, 2))
+    return g
 
 
 _EDGE_LINE = "%d %d\n"

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,10 @@ from irrstrength import (
     parse_edge_list,
 )
 from irrstrength import graphs
+from irrstrength.bounds import bound_report, has_small_component, lower_bound_s
 from irrstrength.graphs import _integer_array
 
-from conftest import make_family
+from conftest import make_family, random_solid_graph
 from test_codec_pins import FAMILIES
 
 
@@ -98,6 +101,17 @@ class TestGraphConstruction:
 
     def test_single_edge_degrees(self):
         assert Graph(4, [(1, 3)]).degrees().tolist() == [0, 1, 0, 1]
+
+    def test_degree_counts_are_the_degree_histogram(self):
+        graphs_ = [Graph(5, []), Graph(4, [(0, 1), (1, 2)]), Graph(4, [(1, 3)]), make_family("star", 6)]
+        rng = random.Random(7)
+        graphs_ += [random_solid_graph(rng, 3, 14, rng.choice((0.2, 0.4, 0.7))) for _ in range(200)]
+        for g in graphs_:
+            counts = g._degree_counts()
+            degrees, numbers = np.unique(g.degrees(), return_counts=True)
+            assert counts == (tuple(degrees.tolist()), tuple(numbers.tolist()))
+            assert g._degree_counts() is counts
+            assert type(has_small_component(g)) is bool
 
     def test_equality_and_hash(self):
         a = Graph(4, [(0, 1), (2, 3)])
@@ -246,12 +260,19 @@ class TestEdgeListFormat:
         assert parse_edge_list(text) == make_family("path", 3)
 
     def test_trusted_book_path_matches_validated_constructor(self):
-        # make_triangular_book skips validation; cross-check against Graph()
-        for n in (1, 2, 5, 12):
+        # make_triangular_book skips validation and fills its runs and degree histogram from
+        # its closed form; cross-check every derived fact against Graph(), which computes them
+        for n in [*range(1, 301), 99_999, 100_000]:
             fast = make_triangular_book(n)
             slow = Graph(fast.order, fast.edges.copy())
             assert fast == slow
+            for a, b in zip(fast._up_runs(), slow._up_runs()):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert fast._degree_counts() == slow._degree_counts()
             assert np.array_equal(fast.degrees(), slow.degrees())
+            assert lower_bound_s(fast) == lower_bound_s(slow)
+            assert has_small_component(fast) is has_small_component(slow) is False
+            assert bound_report(fast) == bound_report(slow)
 
 
 def reference_parse(text: str) -> Graph:
