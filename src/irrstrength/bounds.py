@@ -52,7 +52,7 @@ def lower_bound_s(g: Graph) -> int:
     if g.order == 0:
         raise ValueError("bound undefined for the empty graph")
     if has_small_component(g):
-        raise ValueError("graph has a component of order <= 2; strength is infinite")
+        raise ValueError("graph has a component of order <= 2: s is infinite and ms undefined")
     # a plain loop: a numpy version over all pairs costs more on small graphs
     pairs = list(zip(*g._degree_counts()))
     best = 0

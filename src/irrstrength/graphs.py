@@ -290,7 +290,7 @@ def _writer_fields(text: str) -> tuple[int, np.ndarray] | None:
 
 
 def _edge_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """The order and the endpoints, read line by line; raises every error of the grammar."""
+    """The order and the endpoints, read line by line; raises every error of the grammar, and ``Graph`` the rest."""
     # int() would also take a sign, "1_0" and non-ASCII digits such as "١"
     if not text.isascii() or any(c in text for c in "+-_"):
         raise FormatError("edge-list numbers must be unsigned ASCII decimals")
@@ -304,8 +304,6 @@ def _edge_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
         order, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise FormatError(f"bad header {lines[0]!r}") from exc
-    if order > ORDER_LIMIT:
-        raise FormatError(f"order {order} exceeds supported limit {ORDER_LIMIT}")
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _CHUNK, ORDER_LIMIT, FormatError, Graph, _decimals, _integer_array, _rows
+from .graphs import _CHUNK, FormatError, Graph, _decimals, _integer_array, _rows
 
 LABEL_LIMIT = 10**6
 
@@ -246,25 +246,24 @@ def _json_ints(doc: dict, field: str) -> np.ndarray:
     """``doc[field]``, a JSON integer or nested lists of them, as an int64 array.
 
     ``_integer_array`` judges the parsed value itself, so a JSON boolean
-    never passes as 0 or 1. Anything but integers within int64 is a
-    FormatError.
+    never passes as 0 or 1, and keeps an integer past int64 exact, for the
+    dtype check to reject. Anything but integers within int64 is a FormatError.
     """
-    value = doc[field]
     try:
-        arr = np.asarray(value)
-        _integer_array(value, field)
+        arr = _integer_array(doc[field], field)
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{field}: {exc}") from exc
-    if arr.size and arr.dtype.kind != "i":
+    if arr.dtype != np.int64:
         raise FormatError(f"{field} must be JSON integers within int64, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    return arr
 
 
 def certificate_from_json(text: str | bytes) -> Certificate:
     """Parse and fully re-validate a certificate document.
 
-    Enforces the input limits and recomputes the weight profile from the
-    graph and labels; any mismatch with the stored arrays is rejected.
+    ``Graph``, ``EdgeLabeling`` and ``make_certificate`` judge the input limits,
+    the labels' alignment with the edges and the mode, as for every caller; the
+    stored weights and residues must match the profile they recompute.
     """
     doc = _writer_doc(text)
     if doc is None:
@@ -279,29 +278,22 @@ def certificate_from_json(text: str | bytes) -> Certificate:
     missing = {"order", "edges", "labels", "weights", "residues", "k", "mode"} - doc.keys()
     if missing:
         raise FormatError(f"certificate missing fields: {sorted(missing)}")
-    if doc["mode"] not in (IRREGULAR, MODULAR):
-        raise FormatError(f"unknown certificate mode {doc['mode']!r}")
     order = _json_ints(doc, "order")
-    if order.ndim or order > ORDER_LIMIT:
+    if order.ndim:
         raise FormatError("certificate order missing or out of range")
-    edges = _json_ints(doc, "edges")
-    labels = _json_ints(doc, "labels")
+    edges, labels = _json_ints(doc, "edges"), _json_ints(doc, "labels")
     try:
-        graph = Graph(int(order), edges)
-        labeling = EdgeLabeling(labels)
+        cert = make_certificate(Graph(int(order), edges), EdgeLabeling(labels), doc["mode"])
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(str(exc)) from exc
     k = _json_ints(doc, "k")
-    if k.ndim or labeling.k != k:
-        raise FormatError(f"stored k={doc['k']} but max label is {labeling.k}")
-    if len(labeling) != graph.size:
-        raise FormatError("labels not aligned with edge list")
-    profile = vertex_weights(graph, labeling)
-    if not np.array_equal(profile.weights, _json_ints(doc, "weights")):
+    if k.ndim or cert.labeling.k != k:
+        raise FormatError(f"stored k={doc['k']} but max label is {cert.labeling.k}")
+    if not np.array_equal(cert.profile.weights, _json_ints(doc, "weights")):
         raise FormatError("stored weights do not match recomputation")
-    if not np.array_equal(profile.residues, _json_ints(doc, "residues")):
+    if not np.array_equal(cert.profile.residues, _json_ints(doc, "residues")):
         raise FormatError("stored residues do not match recomputation")
-    return Certificate(graph=graph, labeling=labeling, profile=profile, mode=doc["mode"])
+    return cert
 
 
 def certificate_to_dot(cert: Certificate) -> str:

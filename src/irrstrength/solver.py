@@ -348,21 +348,18 @@ def _search(plan, touch, degrees, k: int, span: int, wrap: int):
 def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResult:
     """Exact strength of ``g`` in the requested mode, with a certificate.
 
-    Modular mode reports infinite immediately for orders 2 mod 4 and never
-    claims infinity on any other ground; exhausting the ceiling yields an
-    unknown outcome instead.
+    ``bounds`` judges graphs without a strength: s is infinite if ``has_small_component``,
+    ms if ``modular_infinite`` (order 2 mod 4), and ``lower_bound_s`` raises ValueError
+    for the empty graph and, in ms, for a component of order <= 2, where ms is undefined.
+    Modular mode claims infinity on no other ground: exhausting the ceiling yields unknown.
     """
     if mode not in (MODE_S, MODE_MS):
         raise ValueError(f"mode must be '{MODE_S}' or '{MODE_MS}', got {mode!r}")
-    if g.order == 0:
-        raise ValueError("cannot solve the empty graph")
     cfg = cfg or SolverConfig()
     start = time.monotonic()
 
     if modular_infinite(g) if mode == MODE_MS else has_small_component(g):
         return StrengthResult(mode=mode, outcome=INFINITE, elapsed=time.monotonic() - start)
-    if mode == MODE_MS and has_small_component(g):
-        raise ValueError("modular strength undefined for graphs with a component of order <= 2")
 
     lb = lower_bound_s(g)
     k_max = cfg.k_max if cfg.k_max is not None else 2 * g.order + 2

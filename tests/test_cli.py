@@ -13,9 +13,11 @@ from irrstrength import (
     EdgeLabeling,
     certificate_to_json,
     format_edge_list,
+    lower_bound_s,
     make_certificate,
     make_triangular_book,
     modular_labeling,
+    parse_edge_list,
 )
 from irrstrength.cli import run
 
@@ -334,6 +336,28 @@ class TestSolveVerb:
             capsys, "solve", "--graph", str(graph_file), "--mode", "s", "--kmax", "2"
         )
         assert (code, out, err) == (2, "", "error: k_max=2 is below the lower bound 3\n")
+
+
+class TestSmallComponent:
+    """A component of order <= 2 (here the isolated vertex 3): s is infinite, and ms and its bound are undefined."""
+
+    TEXT = "4 2\n0 1\n1 2\n"
+
+    def test_s_is_infinite(self, capsys, tmp_path):
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text(self.TEXT)
+        code, out, _ = invoke(capsys, "solve", "--graph", str(graph_file), "--mode", "s")
+        assert (code, out) == (0, '{"mode":"s","outcome":"infinite"}\n')
+
+    @pytest.mark.parametrize("argv", [["bound"], ["solve", "--mode", "ms"]], ids=["bound", "solve-ms"])
+    def test_bound_and_ms_are_usage_errors(self, capsys, tmp_path, argv):
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text(self.TEXT)
+        with pytest.raises(ValueError) as want:
+            lower_bound_s(parse_edge_list(self.TEXT))
+        assert "component" in str(want.value)
+        code, out, err = invoke(capsys, argv[0], "--graph", str(graph_file), *argv[1:])
+        assert (code, out, err) == (2, "", f"error: {want.value}\n")
 
 
 class TestTableVerb:

@@ -289,8 +289,6 @@ def reference_parse(text: str) -> Graph:
         order, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise FormatError(f"bad header {lines[0]!r}") from exc
-    if order > 10**6:
-        raise FormatError(f"order {order} exceeds supported limit {10**6}")
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

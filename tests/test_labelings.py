@@ -25,7 +25,7 @@ from irrstrength import (
     vertex_weights,
 )
 from irrstrength.books import irregular_labeling
-from irrstrength.graphs import _CHUNK, ORDER_LIMIT, _integer_array
+from irrstrength.graphs import _CHUNK, _integer_array
 from irrstrength.labelings import (
     IRREGULAR,
     LABEL_LIMIT,
@@ -330,7 +330,7 @@ class TestCertificateJson:
         "field,value,message",
         [
             ("order", [3], "certificate order missing or out of range"),
-            ("order", 1_000_001, "certificate order missing or out of range"),
+            ("order", 1_000_001, "order 1000001 exceeds supported limit 1000000"),
             ("edges", [0, 1, 0, 2, 1, 2], "edges must be a sequence of vertex pairs"),
         ],
         ids=["order-list", "order-past-limit", "flat-edges"],
@@ -354,6 +354,51 @@ class TestCertificateJson:
             make_certificate(C3, EdgeLabeling([1, 2, 3]), "total")
 
 
+def c3_text(indent=None, **fields) -> str:
+    """C3's modular certificate as JSON text, compact or indented, with ``fields`` replaced."""
+    doc = json.loads(certificate_to_json(make_certificate(C3, EdgeLabeling([1, 2, 3]), "modular")))
+    doc.update(fields)
+    return json.dumps(doc, indent=indent, separators=None if indent else (",", ":"))
+
+
+@pytest.mark.parametrize(
+    ("message", "calls"),
+    [
+        (
+            "order 1000001 exceeds supported limit 1000000",
+            [
+                lambda: Graph(1_000_001, []),
+                lambda: parse_edge_list("1000001 0\n"),  # the writer's layout, read as arrays
+                lambda: parse_edge_list("1000001 0\r\n"),  # read line by line
+                lambda: certificate_from_json(c3_text(order=1_000_001)),
+                lambda: certificate_from_json(c3_text(1, order=1_000_001)),
+            ],
+        ),
+        (
+            "unknown mode 'total'",
+            [
+                lambda: make_certificate(C3, EdgeLabeling([1, 2, 3]), "total"),
+                lambda: certificate_from_json(c3_text(mode="total")),
+            ],
+        ),
+        (
+            "labeling covers 2 edges, graph has 3",
+            [
+                lambda: vertex_weights(C3, EdgeLabeling([2, 3])),
+                lambda: certificate_from_json(c3_text(labels=[2, 3])),
+            ],
+        ),
+    ],
+    ids=["order-limit", "mode", "alignment"],
+)
+def test_each_rule_gives_one_message(message, calls):
+    """A rule is judged by the code that owns it, so every entry point reports it alike."""
+    for call in calls:
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == message
+
+
 class TestDotExport:
     def test_triangle_dot(self):
         cert = make_certificate(C3, EdgeLabeling([1, 2, 3]), "modular")
@@ -371,16 +416,14 @@ class TestDotExport:
 
 def reference_ints(doc: dict, field: str) -> np.ndarray:
     """``doc[field]`` as an int64 array, or the reader's FormatError for it."""
-    value = doc[field]
     try:
-        arr = np.asarray(value)
         # the parsed value itself is judged: numpy turns an int64 overflow among small integers into float64
-        _integer_array(value, field)
+        arr = _integer_array(doc[field], field)
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{field}: {exc}") from exc
-    if arr.size and arr.dtype.kind != "i":
+    if arr.dtype != np.int64:
         raise FormatError(f"{field} must be JSON integers within int64, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    return arr
 
 
 def reference_from_json(text: str) -> Certificate:
@@ -394,29 +437,23 @@ def reference_from_json(text: str) -> Certificate:
     missing = {"order", "edges", "labels", "weights", "residues", "k", "mode"} - doc.keys()
     if missing:
         raise FormatError(f"certificate missing fields: {sorted(missing)}")
-    if doc["mode"] not in ("irregular", "modular"):
-        raise FormatError(f"unknown certificate mode {doc['mode']!r}")
     order = reference_ints(doc, "order")
-    if order.ndim or order > ORDER_LIMIT:
+    if order.ndim:
         raise FormatError("certificate order missing or out of range")
     edges = reference_ints(doc, "edges")
     labels = reference_ints(doc, "labels")
     try:
-        graph = Graph(int(order), edges)
-        labeling = EdgeLabeling(labels)
+        cert = make_certificate(Graph(int(order), edges), EdgeLabeling(labels), doc["mode"])
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(str(exc)) from exc
     k = reference_ints(doc, "k")
-    if k.ndim or labeling.k != k:
-        raise FormatError(f"stored k={doc['k']} but max label is {labeling.k}")
-    if len(labeling) != graph.size:
-        raise FormatError("labels not aligned with edge list")
-    profile = vertex_weights(graph, labeling)
-    if not np.array_equal(profile.weights, reference_ints(doc, "weights")):
+    if k.ndim or cert.labeling.k != k:
+        raise FormatError(f"stored k={doc['k']} but max label is {cert.labeling.k}")
+    if not np.array_equal(cert.profile.weights, reference_ints(doc, "weights")):
         raise FormatError("stored weights do not match recomputation")
-    if not np.array_equal(profile.residues, reference_ints(doc, "residues")):
+    if not np.array_equal(cert.profile.residues, reference_ints(doc, "residues")):
         raise FormatError("stored residues do not match recomputation")
-    return Certificate(graph=graph, labeling=labeling, profile=profile, mode=doc["mode"])
+    return cert
 
 
 def writer_texts() -> list[str]:

@@ -175,6 +175,15 @@ class TestSolveEdgeCases:
         with pytest.raises(ValueError, match="component"):
             solve(g, "ms")
 
+    def test_rejects_empty_graph_in_ms_mode(self):
+        with pytest.raises(ValueError, match="empty"):
+            solve(Graph(0, []), "ms")
+
+    def test_order_two_mod_four_is_infinite_in_ms_mode_despite_a_lone_edge(self):
+        # C4 and a lone edge: the order criterion is judged before the bound, which has no value here
+        g = Graph(6, [(0, 1), (0, 3), (1, 2), (2, 3), (4, 5)])
+        assert solve(g, "ms").outcome == "infinite"
+
     def test_ceiling_reached_is_unknown(self):
         result = solve(C3, "s", SolverConfig(k_max=2))
         assert result.outcome == "unknown"
