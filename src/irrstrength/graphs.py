@@ -25,6 +25,7 @@ through ``_rows``.
 from __future__ import annotations
 
 import operator
+import reprlib
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class Graph:
     def __init__(self, order: int, edges) -> None:
         order = _integer(order, "order", 0)
         if order > ORDER_LIMIT:
-            raise ValueError(f"order {order} exceeds supported limit {ORDER_LIMIT}")
+            raise ValueError(f"order {reprlib.repr(order)} exceeds supported limit {ORDER_LIMIT}")
         arr = _integer_array(edges, "edge endpoints")
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
@@ -143,7 +144,7 @@ def _integer(value, what: str, least: int) -> int:
     except TypeError:
         number = None
     if number is None or isinstance(value, bool) or number < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"{what} must be an integer >= {least}, got {reprlib.repr(value)}")
     return number
 
 
@@ -303,16 +304,16 @@ def _edge_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
     try:
         order, m = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise FormatError(f"bad header {lines[0]!r}") from exc
+        raise FormatError(f"bad header {reprlib.repr(lines[0])}") from exc
     if len(lines) - 1 != m:
-        raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
+        raise FormatError(f"expected {reprlib.repr(m)} edge lines, found {len(lines) - 1}")
     edges = []
     for line in lines[1:]:
         try:
             u, v = map(int, line.split())  # a count other than two is a ValueError too
         except ValueError as exc:
-            raise FormatError(f"bad edge line {line!r}") from exc
+            raise FormatError(f"bad edge line {reprlib.repr(line)}") from exc
         if not u < v:
-            raise FormatError(f"edge line {line!r} must satisfy u < v")
+            raise FormatError(f"edge line {reprlib.repr(line)} must satisfy u < v")
         edges.append((u, v))
     return order, edges

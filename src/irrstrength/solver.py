@@ -26,6 +26,7 @@ cross-checked against, with none of its cuts.
 from __future__ import annotations
 
 import json
+import reprlib
 import time
 from dataclasses import dataclass
 
@@ -354,7 +355,7 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     Modular mode claims infinity on no other ground: exhausting the ceiling yields unknown.
     """
     if mode not in (MODE_S, MODE_MS):
-        raise ValueError(f"mode must be '{MODE_S}' or '{MODE_MS}', got {mode!r}")
+        raise ValueError(f"mode must be '{MODE_S}' or '{MODE_MS}', got {reprlib.repr(mode)}")
     cfg = cfg or SolverConfig()
     start = time.monotonic()
 
@@ -416,7 +417,7 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
     and states; the plan before it costs O(m^2) time, with no budget.
     """
     if mode not in (MODE_S, MODE_MS):
-        raise ValueError(f"mode must be '{MODE_S}' or '{MODE_MS}', got {mode!r}")
+        raise ValueError(f"mode must be '{MODE_S}' or '{MODE_MS}', got {reprlib.repr(mode)}")
     k = _integer(k, "k", 1)
     if g.size == 0:
         raise ValueError("graph has no edges")

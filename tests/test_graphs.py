@@ -1,4 +1,5 @@
 import random
+import reprlib
 
 import numpy as np
 import pytest
@@ -288,20 +289,20 @@ def reference_parse(text: str) -> Graph:
     try:
         order, m = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise FormatError(f"bad header {lines[0]!r}") from exc
+        raise FormatError(f"bad header {reprlib.repr(lines[0])}") from exc
     if len(lines) - 1 != m:
-        raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
+        raise FormatError(f"expected {reprlib.repr(m)} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
+            raise FormatError(f"bad edge line {reprlib.repr(ln)}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise FormatError(f"bad edge line {ln!r}") from exc
+            raise FormatError(f"bad edge line {reprlib.repr(ln)}") from exc
         if not u < v:
-            raise FormatError(f"edge line {ln!r} must satisfy u < v")
+            raise FormatError(f"edge line {reprlib.repr(ln)} must satisfy u < v")
         edges.append((u, v))
     try:
         return Graph(order, edges)

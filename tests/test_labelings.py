@@ -1,5 +1,6 @@
 import gc
 import json
+import reprlib
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from irrstrength import (
     certificate_from_json,
     certificate_to_dot,
     certificate_to_json,
+    count_labelings,
     format_edge_list,
     make_certificate,
     make_triangular_book,
@@ -25,7 +27,7 @@ from irrstrength import (
     vertex_weights,
 )
 from irrstrength.books import irregular_labeling
-from irrstrength.graphs import _CHUNK, _integer_array
+from irrstrength.graphs import _CHUNK, _integer, _integer_array
 from irrstrength.labelings import (
     IRREGULAR,
     LABEL_LIMIT,
@@ -329,7 +331,7 @@ class TestCertificateJson:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            ("order", [3], "certificate order missing or out of range"),
+            ("order", [3], r"order must be an integer >= 0, got \[3\]"),
             ("order", 1_000_001, "order 1000001 exceeds supported limit 1000000"),
             ("edges", [0, 1, 0, 2, 1, 2], "edges must be a sequence of vertex pairs"),
         ],
@@ -388,8 +390,36 @@ def c3_text(indent=None, **fields) -> str:
                 lambda: certificate_from_json(c3_text(labels=[2, 3])),
             ],
         ),
+        (
+            "edge labels must be integers",
+            [
+                lambda: EdgeLabeling([1.5, 2, 3]),
+                lambda: certificate_from_json(c3_text(labels=[1.5, 2, 3])),
+            ],
+        ),
+        (
+            "label 1180591620717411303424 exceeds supported limit 1000000",
+            [
+                lambda: EdgeLabeling([2**70, 2, 3]),
+                lambda: certificate_from_json(c3_text(labels=[2**70, 2, 3])),
+            ],
+        ),
+        (
+            "edge endpoints must be integers",
+            [
+                lambda: Graph(3, [(0, 1.5), (0, 2), (1, 2)]),
+                lambda: certificate_from_json(c3_text(edges=[[0, 1.5], [0, 2], [1, 2]])),
+            ],
+        ),
+        (
+            "order must be an integer >= 0, got [3]",
+            [
+                lambda: Graph([3], []),
+                lambda: certificate_from_json(c3_text(order=[3])),
+            ],
+        ),
     ],
-    ids=["order-limit", "mode", "alignment"],
+    ids=["order-limit", "mode", "alignment", "label-type", "label-limit", "endpoint-type", "order-type"],
 )
 def test_each_rule_gives_one_message(message, calls):
     """A rule is judged by the code that owns it, so every entry point reports it alike."""
@@ -397,6 +427,28 @@ def test_each_rule_gives_one_message(message, calls):
         with pytest.raises(ValueError) as got:
             call()
         assert str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_certificate(C3, EdgeLabeling([1, 2, 3]), "x" * 300_000),
+        lambda: verify_profile(vertex_weights(C3, EdgeLabeling([1, 2, 3])), "x" * 300_000),
+        lambda: solve(C3, "x" * 300_000),
+        lambda: count_labelings(C3, "x" * 300_000, 3),
+        lambda: parse_edge_list("3 " + "x" * 500_000 + "\n0 1\n"),
+        lambda: parse_edge_list("3 1\n0 " + "x" * 1_000_000 + "\n"),
+        lambda: parse_edge_list("3 1\n1" + " " * 1_000_000 + "0\n"),
+        lambda: certificate_from_json(c3_text(mode=[1] * 100_000)),
+        lambda: certificate_from_json(c3_text(k=[1] * 100_000)),
+    ],
+    ids=["make-certificate", "verify-profile", "solve", "count", "header", "edge-line", "edge-order", "cert-mode", "cert-k"],
+)
+def test_messages_shorten_long_values(call):
+    """A message repeats an outside value through ``reprlib.repr``, so a long one is cut."""
+    with pytest.raises(ValueError) as got:
+        call()
+    assert len(str(got.value)) < 200
 
 
 class TestDotExport:
@@ -414,18 +466,6 @@ class TestDotExport:
         )
 
 
-def reference_ints(doc: dict, field: str) -> np.ndarray:
-    """``doc[field]`` as an int64 array, or the reader's FormatError for it."""
-    try:
-        # the parsed value itself is judged: numpy turns an int64 overflow among small integers into float64
-        arr = _integer_array(doc[field], field)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise FormatError(f"{field}: {exc}") from exc
-    if arr.dtype != np.int64:
-        raise FormatError(f"{field} must be JSON integers within int64, got dtype {arr.dtype}")
-    return arr
-
-
 def reference_from_json(text: str) -> Certificate:
     """The certificate reader with ``json.loads`` as its only parser, as an oracle."""
     try:
@@ -437,21 +477,17 @@ def reference_from_json(text: str) -> Certificate:
     missing = {"order", "edges", "labels", "weights", "residues", "k", "mode"} - doc.keys()
     if missing:
         raise FormatError(f"certificate missing fields: {sorted(missing)}")
-    order = reference_ints(doc, "order")
-    if order.ndim:
-        raise FormatError("certificate order missing or out of range")
-    edges = reference_ints(doc, "edges")
-    labels = reference_ints(doc, "labels")
     try:
-        cert = make_certificate(Graph(int(order), edges), EdgeLabeling(labels), doc["mode"])
+        cert = make_certificate(Graph(doc["order"], doc["edges"]), EdgeLabeling(doc["labels"]), doc["mode"])
+        k = _integer(doc["k"], "k", 1)
+        weights, residues = _integer_array(doc["weights"], "weights"), _integer_array(doc["residues"], "residues")
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(str(exc)) from exc
-    k = reference_ints(doc, "k")
-    if k.ndim or cert.labeling.k != k:
-        raise FormatError(f"stored k={doc['k']} but max label is {cert.labeling.k}")
-    if not np.array_equal(cert.profile.weights, reference_ints(doc, "weights")):
+    if cert.labeling.k != k:
+        raise FormatError(f"stored k={reprlib.repr(k)} but max label is {cert.labeling.k}")
+    if not np.array_equal(cert.profile.weights, weights):
         raise FormatError("stored weights do not match recomputation")
-    if not np.array_equal(cert.profile.residues, reference_ints(doc, "residues")):
+    if not np.array_equal(cert.profile.residues, residues):
         raise FormatError("stored residues do not match recomputation")
     return cert
 
