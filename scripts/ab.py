@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of the solver against another checkout.
+"""In-process A/B timing of the package against another checkout.
 
 Loads this working tree and the checkout given by ``--base`` side by side,
 each package under a module name of its own (``irrstrength_tree``,
 ``irrstrength_base``), and builds each side's operations with that side's
 own ``bench/workloads.py``: ``--ops books`` runs those of the
-``solve-books`` workload, ``--ops random`` those of ``solve-random``.
+``solve-books`` workload, ``--ops random`` those of ``solve-random``,
+``--ops sweep`` and ``--ops cli`` those of the workloads of those names.
+Each side writes its ``cli`` input files into a directory of its own, kept
+until the last round.
 
 Each round times one pass over the operations on each side, the side that
 goes first alternating from round to round. The script prints the median
@@ -28,7 +31,7 @@ import time
 from pathlib import Path
 
 TREE = Path(__file__).resolve().parent.parent
-WORKLOADS = {"books": "solve-books", "random": "solve-random"}
+WORKLOADS = {"books": "solve-books", "random": "solve-random", "sweep": "sweep", "cli": "cli"}
 
 
 def load(path: Path, name: str):
@@ -68,10 +71,22 @@ def call(_name, fn, *args):
 
 
 def same(out):
-    """What both sides must agree on: the solve documents and the counts."""
+    """What both sides must agree on, by value, since the two packages' objects never compare equal:
+    solve documents, labels and weights (by their bytes, both packages keep them in int64),
+    verdicts, counts, exit codes and output text."""
     if isinstance(out, tuple):
         return tuple(map(same, out))
-    return out.to_json() if hasattr(out, "to_json") else out
+    if isinstance(out, dict):
+        return {key: same(value) for key, value in out.items()}
+    if hasattr(out, "to_json"):
+        return out.to_json()
+    if hasattr(out, "labels"):
+        return out.labels.tobytes()
+    if hasattr(out, "weights"):
+        return out.weights.tobytes()
+    if hasattr(out, "pair"):
+        return out.ok, out.kind, out.pair
+    return out
 
 
 def timed_pass(ops) -> float:
@@ -92,10 +107,15 @@ def main(argv=None) -> int:
         parser.error("--rounds must be at least 1")
 
     with tempfile.TemporaryDirectory() as workdir:
-        sides = [
-            operations(checkout, side, WORKLOADS[args.ops], Path(workdir))
-            for checkout, side in ((TREE, "tree"), (args.base.resolve(), "base"))
-        ]
+        return compare(args, Path(workdir))
+
+
+def compare(args, workdir: Path) -> int:
+    """Build both sides' operations under ``workdir``, check them, then time the rounds."""
+    sides = []
+    for checkout, side in ((TREE, "tree"), (args.base.resolve(), "base")):
+        (workdir / side).mkdir()
+        sides.append(operations(checkout, side, WORKLOADS[args.ops], workdir / side))
     outputs = [[op.run(call) for op in ops] for ops in sides]  # also the warm-up pass
     bad = [
         f"{side} {op.key}: {reason}"

@@ -9,7 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("ops", ["books", "random"])
+@pytest.mark.parametrize("ops", ["books", "random", "sweep", "cli"])
 def test_one_round_against_itself(ops):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab.py"), "--base", str(ROOT), "--ops", ops, "--rounds", "1"],
@@ -17,7 +17,8 @@ def test_one_round_against_itself(ops):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith(f"{ops}: {21 if ops == 'books' else 40} operations, 1 rounds;")
+    count = {"books": 21, "random": 40, "sweep": 2000, "cli": 106}[ops]
+    assert lines[0].startswith(f"{ops}: {count} operations, 1 rounds;")
     assert lines[1].startswith("tree/base median ")
 
 

@@ -143,6 +143,40 @@ class TestVertexWeights:
         assert prof.weights.tolist() == expected
 
 
+class TestWeighedOnce:
+    """A labeling keeps the profile of the graph object it was last weighed on."""
+
+    def test_same_pair_returns_the_same_profile(self):
+        g, f = make_triangular_book(6), irregular_labeling(6)
+        assert vertex_weights(g, f) is vertex_weights(g, f)
+
+    def test_equal_but_distinct_graph_is_weighed_afresh(self):
+        g, f = make_triangular_book(6), irregular_labeling(6)
+        twin = Graph(g.order, g.edges)
+        assert twin == g and twin is not g
+        first = vertex_weights(g, f)
+        again = vertex_weights(twin, f)
+        assert again is not first and again == first
+
+    def test_other_graph_of_the_same_size_gets_its_own_weights(self):
+        a, b = make_family("path", 4), make_family("star", 3)
+        f = EdgeLabeling([1, 2, 3])
+        assert vertex_weights(a, f).weights.tolist() == [1, 3, 5, 3]
+        assert vertex_weights(b, f).weights.tolist() == [6, 1, 2, 3]
+        assert vertex_weights(a, f).weights.tolist() == [1, 3, 5, 3]
+
+    def test_misaligned_graph_still_raises_after_a_cached_call(self):
+        f = EdgeLabeling([1, 2, 3])
+        vertex_weights(C3, f)
+        with pytest.raises(ValueError, match="labeling covers 3 edges, graph has 4"):
+            vertex_weights(make_family("path", 5), f)
+
+    @pytest.mark.parametrize("mode", [IRREGULAR, MODULAR])
+    def test_certificate_holds_the_weighed_profile(self, mode):
+        g, f = make_triangular_book(5), modular_labeling(5)
+        assert make_certificate(g, f, mode).profile is vertex_weights(g, f)
+
+
 class TestVerifyIrregular:
     def test_triangle_ok(self):
         assert verify_irregular(C3, EdgeLabeling([1, 2, 3])).ok
@@ -205,19 +239,40 @@ INT64 = st.integers(-(2**63), 2**63 - 1)
 
 @st.composite
 def weight_lists(draw):
-    """3..64 int64 weights: residue-class permutations shifted by multiples of the order, small values, or any."""
+    """3..64 int64 weights: residue-class permutations shifted by multiples of the order, small values, or any.
+
+    The ``runs`` kinds sort the values in 1..40 pieces, so the irregular verdict meets both few
+    ascending runs, as in a book's profile, and many; a repeat is then planted within a run,
+    across two runs or at the boundary of two.
+    """
     size = draw(st.integers(3, 64))
-    kind = draw(st.sampled_from(["classes", "small", "any"]))
+    kind = draw(st.sampled_from(["classes", "small", "any", "small runs", "runs"]))
     if kind == "classes":
         shifts = st.integers(-(2**40), 2**40)
         weights = [r + size * draw(shifts) for r in draw(st.permutations(range(size)))]
     else:
         extremes = st.sampled_from([-(2**63), 2**63 - 1])
-        value = st.integers(-2 * size, 2 * size) if kind == "small" else st.one_of(INT64, extremes)
+        value = st.integers(-2 * size, 2 * size) if kind.startswith("small") else st.one_of(INT64, extremes)
         weights = draw(st.lists(value, min_size=size, max_size=size))
-    if draw(st.booleans()):  # one weight copied onto another
-        weights[draw(st.integers(0, size - 1))] = weights[draw(st.integers(0, size - 1))]
-    return weights
+    if not kind.endswith("runs"):
+        if draw(st.booleans()):  # one weight copied onto another
+            weights[draw(st.integers(0, size - 1))] = weights[draw(st.integers(0, size - 1))]
+        return weights
+    cuts = sorted(draw(st.sets(st.integers(1, size - 1), max_size=39)))
+    runs = [sorted(weights[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, size])]
+    plant = draw(st.sampled_from(["none", "within", "across", "boundary"]))
+    if plant == "within" and any(len(run) > 1 for run in runs):
+        run = runs[draw(st.sampled_from([r for r, run in enumerate(runs) if len(run) > 1]))]
+        i = draw(st.integers(0, len(run) - 2))
+        run[i + 1] = run[i]  # the run stays ascending
+    elif plant == "across" and len(runs) > 1:
+        a, b = draw(st.lists(st.integers(0, len(runs) - 1), min_size=2, max_size=2, unique=True))
+        runs[b][draw(st.integers(0, len(runs[b]) - 1))] = draw(st.sampled_from(runs[a]))
+        runs[b].sort()
+    elif plant == "boundary" and len(runs) > 1:
+        r = draw(st.integers(1, len(runs) - 1))
+        runs[r][0] = runs[r - 1][-1]  # the run opens with the last weight of the one before
+    return [w for run in runs for w in run]
 
 
 def first_repeat(values):
@@ -231,7 +286,7 @@ def first_repeat(values):
 class TestVerifyProfile:
     """``verify_profile`` on hand-built profiles against the two definitions."""
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=800, deadline=None)
     @given(weight_lists())
     def test_matches_the_definitions(self, weights):
         n = len(weights)
