@@ -269,22 +269,21 @@ def _search(plan, touch, degrees, k: int, span: int, wrap: int):
 
     Below a step with a ``front``, the search depends only on i,
     ``finals[i]`` and the front's weights mod ``span``, packed into one int
-    key. A keyed step that runs out of labels adds its key to ``failed``;
-    a keyed step entered afresh with a failed key returns to step i - 1 at
-    once and counts no node. Otherwise it runs the Hall check (``_hall``)
-    on the vertices not yet closed, the front and the untouched
-    ``touch[t:]``, which reads only that key's parts too: when their runs
-    cannot take distinct free values, the step fails as one out of labels,
-    its key recorded, again without a node. Only subtrees without a
-    solution are skipped, in unchanged DFS order, so the first solution is
-    the same. ``failed`` is cleared when it holds ``_FAILED_CAP`` keys.
+    key. A keyed step entered afresh with a key in ``failed`` returns to
+    step i - 1 at once and counts no node; with any other key it adds it
+    to ``failed`` and runs the Hall check (``_hall``) on the vertices not
+    yet closed, the front and the untouched ``touch[t:]``, which reads only
+    that key's parts too: when their runs cannot take distinct free values,
+    the step fails as one out of labels, again without a node. A solution
+    ends the search, so a key matched later is a failed subtree's. Only
+    subtrees without a solution are skipped, in unchanged DFS order, so the
+    first solution is the same. ``failed`` is cleared at ``_FAILED_CAP`` keys.
     """
     size = len(plan)
     order = len(degrees)
     matched = _hall(degrees, touch, k, span, wrap)
     labels = [0] * size  # in plan order
     finals = [0] * (size + 1)
-    keys = [0] * size  # each keyed step's key, as last entered
     failed = set()
     weights = [0] * order
     # runs[r]: the r*(k - 1) + 1 values a vertex with r open edges can reach, as
@@ -310,15 +309,15 @@ def _search(plan, touch, degrees, k: int, span: int, wrap: int):
             if key in failed:
                 i -= 1
                 continue
-            keys[i] = key
-            # a state with no matching fails as a step out of labels would, key recorded
+            if len(failed) >= _FAILED_CAP:
+                failed.clear()
+            # a solution below ends the search, and a key ends in i, a step not re-entered
+            # while its subtree runs: every key a lookup matches is a failed subtree's
+            failed.add(key)
+            # a state with no matching fails as a step out of labels would
             lab = 1 if matched(front, rests, weights, t, finals[i]) else k + 1
         if lab > k:
             labels[i] = 0
-            if front is not None:
-                if len(failed) >= _FAILED_CAP:
-                    failed.clear()
-                failed.add(keys[i])
             i -= 1
             continue
         nodes += 1

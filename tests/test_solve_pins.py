@@ -10,7 +10,7 @@ search plan's edge order, so they referee it; the one count past
 enumeration's reach is a zero the search's strength implies. The
 failed-subtree table and the Hall check skip only subtrees without a
 solution, so they move no digest either, even when the table's cap keeps
-clearing it.
+clearing it, down to a table of one key.
 """
 
 import hashlib
@@ -53,30 +53,47 @@ def test_solve_results_are_byte_identical(name, mode):
     assert solve_digest(name, mode) == PINS[name, mode]
 
 
-@pytest.mark.parametrize("name, mode", sorted(PINS))
-def test_clearing_the_failed_table_keeps_every_certificate(name, mode, monkeypatch):
-    monkeypatch.setattr(solver, "_FAILED_CAP", 100)
+# a cap of 100 clears the table many times per search, a cap of 1 at every new
+# state; the ids without a cap name 100, the cap this test first held
+@pytest.mark.parametrize(
+    "name, mode, cap",
+    [
+        pytest.param(*case, cap, id="-".join(case) + ("" if cap == 100 else f"-cap{cap}"))
+        for cap in (100, 1)
+        for case in sorted(PINS)
+    ],
+)
+def test_clearing_the_failed_table_keeps_every_certificate(name, mode, cap, monkeypatch):
+    monkeypatch.setattr(solver, "_FAILED_CAP", cap)
     assert solve_digest(name, mode) == PINS[name, mode]
 
 
 # graph 1 of random_solid_graph(random.Random(1), 13, 16, 0.3), order 15 and
 # size 35, k = 3 in both modes; in ms it finishes only with the failed table
+GRAPH_ONE = Path(__file__).parent / "data" / "sample_graph_1.txt"
 GRAPH_ONE_PINS = {
     "s": "c496af1b6997563284f02c90d7b47c9f4b74920811cd137982ce34b6b1ab00e7",
     "ms": "279a8f02fc77c53eade48d13c8d4a7fa9a188c370dd7ad4a3d7d7b8971bf9175",
 }
+GRAPH_ONE_NODES = {"s": 70, "ms": 561_990}
 
 
 def _graph_one():
+    return parse_edge_list(GRAPH_ONE.read_text(encoding="ascii"))
+
+
+def test_graph_one_fixture_is_the_second_draw():
     rng = random.Random(1)
     g = [random_solid_graph(rng, 13, 16, 0.3) for _ in range(2)][1]
     assert (g.order, g.size) == (15, 35)
-    return g
+    assert _graph_one() == g
 
 
 @pytest.mark.parametrize("mode", sorted(GRAPH_ONE_PINS))
 def test_graph_one_is_pinned(mode):
-    assert hashlib.sha256(solve(_graph_one(), mode).to_json().encode("ascii")).hexdigest() == GRAPH_ONE_PINS[mode]
+    result = solve(_graph_one(), mode)
+    assert hashlib.sha256(result.to_json().encode("ascii")).hexdigest() == GRAPH_ONE_PINS[mode]
+    assert result.nodes == GRAPH_ONE_NODES[mode]
 
 
 @pytest.mark.parametrize("mode", sorted(GRAPH_ONE_PINS))
@@ -87,12 +104,13 @@ def test_graph_one_has_no_labeling_below_three(mode):
 
 # graph 3 of the same draws, order 16 and size 32, k = 4 in both modes, as an
 # ILP finds too; its k = 3 refutation finishes only with the Hall check, in
-# about 140,000 nodes per mode (over 100 s without it), which the guard holds
+# the pinned nodes (over 100 s without it)
 GRAPH_THREE = Path(__file__).parent / "data" / "sample_graph_3.txt"
 GRAPH_THREE_PINS = {
     "s": "de832a80530652ed3889fb7de67fe6d1afd3c2e9630becf9a684c3aef85ab197",
     "ms": "8363f0bd0afa1a92722f55cbb240fccbe06f0382c65868d17fee9c55a1c3acb8",
 }
+GRAPH_THREE_NODES = {"s": 143_409, "ms": 146_227}
 
 
 def test_graph_three_fixture_is_the_fourth_draw():
@@ -122,7 +140,7 @@ def time_limit():
 def test_graph_three_is_pinned(mode, time_limit):
     result = solve(parse_edge_list(GRAPH_THREE.read_text(encoding="ascii")), mode)
     assert hashlib.sha256(result.to_json().encode("ascii")).hexdigest() == GRAPH_THREE_PINS[mode]
-    assert result.nodes < 160_000
+    assert result.nodes == GRAPH_THREE_NODES[mode]
 
 
 # (graph index, mode, j): count_labelings at j = k and j = k - 1, k the solved
