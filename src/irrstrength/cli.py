@@ -168,7 +168,8 @@ def _cmd_table(args) -> int:
         closed = [books.irregular_strength(n), books.modular_strength(n)]
         solved = [None, None]
         if n <= args.solve_upto:
-            solved = [_solved_value(solve(make_triangular_book(n), mode)) for mode in ("s", "ms")]
+            book = make_triangular_book(n)  # one graph, so both modes share its search plan
+            solved = [_solved_value(solve(book, mode)) for mode in ("s", "ms")]
         s_val, ms_val, s_solved, ms_solved = map(fmt_strength, closed + solved)
         print(f"{n:>6} {s_val:>6} {ms_val:>6} {s_solved:>9} {ms_solved:>10}")
         if n <= args.solve_upto and closed != solved:

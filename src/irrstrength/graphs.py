@@ -9,11 +9,11 @@ equal neighbours (duplicates) and rebuilt by ``divmod``. Graphs are
 immutable after construction; the triangular book constructor pins a = 0,
 b = 1 and c_i = i + 1 so emitted certificates are comparable across runs.
 
-Three derived facts are lazy slots, computed on first use and kept: the
-degree array (``degrees()``), the runs of edges up (``_up_runs()``) and
-the degree histogram (``_degree_counts()``). ``make_triangular_book``
-fills the runs and the histogram from its closed form; its degree array,
-order-sized, is left to be computed if asked for.
+Four derived facts are lazy slots, computed on first use and kept: the
+degree array (``degrees()``), the runs of edges up (``_up_runs()``), the
+degree histogram (``_degree_counts()``) and the search plan, which the
+solver fills (``solver._search_plan``). ``make_triangular_book`` fills
+the runs and the histogram from its closed form; the rest wait until used.
 
 Edge-list text in ``format_edge_list``'s own layout is parsed as whole
 arrays; any other text, CRLF line ends included, is parsed line by line,
@@ -39,7 +39,7 @@ class FormatError(ValueError):
 class Graph:
     """Immutable simple graph: vertex count plus canonical sorted edge list."""
 
-    __slots__ = ("order", "_edges", "_degrees", "_runs", "_counts")
+    __slots__ = ("order", "_edges", "_degrees", "_runs", "_counts", "_plan")
 
     def __init__(self, order: int, edges) -> None:
         order = _integer(order, "order", 0)
@@ -76,11 +76,11 @@ class Graph:
     def _set(self, order: int, arr: np.ndarray) -> "Graph":
         """Freeze the canonical ``arr`` and fill every slot; returns self.
 
-        The lazy slots ``_degrees``, ``_runs`` and ``_counts`` start empty;
-        ``make_triangular_book`` then fills ``_runs`` and ``_counts``.
+        The lazy slots ``_degrees``, ``_runs``, ``_counts`` and ``_plan`` start empty;
+        ``make_triangular_book`` then fills ``_runs`` and ``_counts``, and the solver ``_plan``.
         """
         arr.setflags(write=False)
-        self.order, self._edges, self._degrees, self._runs, self._counts = order, arr, None, None, None
+        self.order, self._edges, self._degrees, self._runs, self._counts, self._plan = order, arr, None, None, None, None
         return self
 
     @property

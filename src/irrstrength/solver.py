@@ -86,13 +86,20 @@ class StrengthResult:
         return text
 
 
-def _search_plan(g: Graph) -> tuple[list[tuple], tuple[int, ...]]:
+def _search_plan(g: Graph) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """``_build_plan(g)``, built once per graph object and kept, as tuples, in its ``_plan`` slot."""
+    if g._plan is None:
+        g._plan = _build_plan(g)
+    return g._plan
+
+
+def _build_plan(g: Graph) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """One step per edge, in the order the search assigns them, and the
     vertices in the order the steps first touch them.
 
     A step is (canonical edge index, u, v, closing, opened, twins, front,
     rests, t): the endpoints whose last unassigned edge this is, each other
-    endpoint as (vertex, number of unassigned edges), a list of the twin
+    endpoint as (vertex, number of unassigned edges), a tuple of the twin
     transpositions with a cycle of steps ending here, each as all its
     cycles (p, q), p < q, sorted by p, the step's frontier: the vertices
     earlier steps touched and did not close, in first-touch order, their
@@ -168,14 +175,14 @@ def _search_plan(g: Graph) -> tuple[list[tuple], tuple[int, ...]]:
     for j, (e, u, v, closing, opened, twins) in enumerate(plan):
         depth += covered[j]
         if depth:
-            plan[j] = (e, u, v, closing, opened, twins, None, None, None)
+            plan[j] = (e, u, v, closing, opened, tuple(twins), None, None, None)
         else:
-            plan[j] = (e, u, v, closing, opened, twins, tuple(touched), tuple(touched.values()), len(first))
+            plan[j] = (e, u, v, closing, opened, tuple(twins), tuple(touched), tuple(touched.values()), len(first))
         first[u] = first[v] = None
         touched.update(opened)
         for w in closing:
             touched.pop(w, None)
-    return plan, tuple(first)
+    return tuple(plan), tuple(first)
 
 
 def _least_label(twins, labels, i: int) -> int:
@@ -413,7 +420,7 @@ def count_labelings(g: Graph, mode: str, k: int) -> int:
     ``k`` must be an integer (numpy integers too, ``bool`` not) and at
     least 1. More than ``_COUNT_BUDGET`` label extensions (states times k,
     summed over the edges) raise ``ValueError``, which bounds the DP's time
-    and states; the plan before it costs O(m^2) time, with no budget.
+    and states; the plan, built on a graph's first solve or count, costs O(m^2) time with no budget.
     """
     if mode not in (MODE_S, MODE_MS):
         raise ValueError(f"mode must be '{MODE_S}' or '{MODE_MS}', got {reprlib.repr(mode)}")

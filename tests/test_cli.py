@@ -378,6 +378,26 @@ class TestTableVerb:
             assert s_solved == s_formula
             assert ms_solved == ms_formula
 
+    def test_each_solved_row_plans_one_book(self, capsys, monkeypatch):
+        # s and ms solve the same book object, so a row builds one search plan, and a row
+        # past --solve-upto none; the table reads as the closed forms and the solver give it
+        builds = []
+        build = irrstrength.solver._build_plan
+        monkeypatch.setattr(irrstrength.solver, "_build_plan", lambda g: builds.append(g.order - 2) or build(g))
+        code, out, err = invoke(capsys, "table", "--from", "1", "--to", "8", "--solve-upto", "6")
+        assert (code, err, builds) == (0, "", [1, 2, 3, 4, 5, 6])
+        assert out == (
+            "     n      s     ms  s_solved  ms_solved\n"
+            "     1      3      3         3          3\n"
+            "     2      2      2         2          2\n"
+            "     3      2      2         2          2\n"
+            "     4      3    inf         3        inf\n"
+            "     5      3      4         3          4\n"
+            "     6      4      4         4          4\n"
+            "     7      4      4         -          -\n"
+            "     8      5    inf         -          -\n"
+        )
+
     def test_bad_range(self, capsys):
         code, out, err = invoke(capsys, "table", "--from", "5", "--to", "3")
         assert code == 2

@@ -323,7 +323,9 @@ class TestCountLabelings:
     def test_state_width_follows_the_front_not_the_order(self, monkeypatch):
         # 300 disjoint triangles: order 900, a front of at most two vertices;
         # states that gave every vertex a field of its own would take about
-        # ten times the plan's memory before the budget stops the count
+        # ten times the plan's memory before the budget stops the count.
+        # count_labelings reuses the plan built here, kept on g, so the peak
+        # after the reset is the DP's alone
         g = Graph(900, [(3 * t + i, 3 * t + j) for t in range(300) for i, j in ((0, 1), (1, 2), (0, 2))])
         monkeypatch.setattr(solver, "_COUNT_BUDGET", 2**15)
         tracemalloc.start()
@@ -681,6 +683,43 @@ class TestLexFirst:
                     assert count_labelings(g, mode, k - 1) == 0
                 checked += 1
         assert checked >= 66
+
+
+def _no_lists(value) -> bool:
+    """Whether no list occurs in ``value``, nested tuples searched."""
+    return not isinstance(value, list) and (not isinstance(value, tuple) or all(map(_no_lists, value)))
+
+
+class TestPlanKeptOnTheGraph:
+    GRAPHS = [C3, make_triangular_book(5), make_triangular_book(9)] + _pinned_corpus()[:6]
+
+    def test_second_call_returns_the_stored_plan(self):
+        for g in self.GRAPHS:
+            assert _search_plan(g) is _search_plan(g)
+
+    def test_both_modes_and_the_oracle_build_one_plan(self, monkeypatch):
+        builds = []
+        build = solver._build_plan
+        monkeypatch.setattr(solver, "_build_plan", lambda g: builds.append(g) or build(g))
+        for g in [make_triangular_book(5)] + [g for g in _pinned_corpus() if g.order % 4 != 2][:3]:
+            s, ms = solve(g, "s"), solve(g, "ms")
+            count_labelings(g, "ms", ms.k - 1)
+            assert solve(g, "s", SolverConfig(k_max=s.k)).k == s.k
+            assert len(builds) == 1 and builds.pop() is g
+
+    def test_equal_graphs_get_equal_plans_and_certificates(self):
+        for g in self.GRAPHS:
+            twin = Graph(g.order, g.edges.tolist())
+            assert twin is not g and twin == g
+            assert _search_plan(twin) == _search_plan(g) and _search_plan(twin) is not _search_plan(g)
+            for mode in ("s", "ms"):
+                assert solve(twin, mode).to_json() == solve(g, mode).to_json()
+
+    def test_stored_plan_holds_no_list(self):
+        for g in self.GRAPHS:
+            plan, touch = _search_plan(g)
+            assert isinstance(plan, tuple) and all(isinstance(step, tuple) for step in plan)
+            assert _no_lists((plan, touch))  # the twins field of every step included
 
 
 class TestDeterminism:
