@@ -133,13 +133,14 @@ def vertex_weights(g: Graph, f: EdgeLabeling) -> WeightProfile:
 
 
 def _first_collision(values: np.ndarray) -> tuple[int, int]:
-    # scan in vertex-id order so the reported pair is reproducible
-    seen: dict[int, int] = {}
-    for v, val in enumerate(values.tolist()):
-        if val in seen:
-            return seen[val], v
-        seen[val] = v
-    raise AssertionError("no collision present")
+    # the least v whose value an earlier vertex holds, and the first vertex holding it, so
+    # the reported pair is reproducible: a stable sort lists each value's holders in id order
+    order = np.argsort(values, kind="stable")
+    later = order[1:][values[order[1:]] == values[order[:-1]]]
+    if not later.size:
+        raise AssertionError("no collision present")
+    v = int(later.min())
+    return int(np.argmax(values == values[v])), v
 
 
 def verify_profile(profile: WeightProfile, mode: str) -> Verdict:

@@ -203,49 +203,46 @@ def _least_label(twins, labels, i: int) -> int:
     return least
 
 
-def _hall(degrees, touch, k: int, span: int, wrap: int):
-    """The interval Hall check of ``_search`` at label range 1..k, as a
-    function of a keyed step's state: ``matched(front, rests, weights, t,
-    taken)`` tells whether every vertex not yet closed can still end at its
-    own value that no bit of ``taken`` holds.
+def _hall(degrees, touch, runs, span: int, wrap: int):
+    """The interval Hall check of ``_search``, on its run table ``runs``,
+    as a function of a keyed step's state: ``matched(front, rests,
+    weights, t, taken)`` tells whether every vertex not yet closed can
+    still end at its own value that no bit of ``taken`` holds.
 
     A front vertex, with weight w and r unassigned edges, can end only in
-    the run [w + r, w + r*k], an untouched one (``touch[t:]``) in
-    [degree, degree*k], both mod ``span``. Each run is unrolled from its
-    first value, bits at or past ``span`` standing for the values ``wrap``
-    below them, so an ``ms`` arc that wraps past the order is one interval
-    on the doubled residue line. A run of ``order`` (the length of
-    ``degrees``) or more values is dropped: with at most ``order`` - 1
-    values taken or held by the other runs, it always keeps one. The runs
-    are served by their last value, each the least free value at or above
-    its first; the check fails when that is past the run's last value
-    (Glover's greedy, which finds a matching of unit jobs to intervals
-    whenever one exists). In ``ms`` the doubled line is a relaxation: a
-    value and its partner ``wrap`` above are not both cleared, so a
-    failure still proves that no labeling completes the state.
+    the run ``runs[r]`` shifted up by w + r, an untouched one
+    (``touch[t:]``) in ``runs[d]`` shifted up by its degree d, both mod
+    ``span``. Each run is the int bitmask of its own values, bits at or
+    past ``span`` standing for the values ``wrap`` below them, so an
+    ``ms`` arc that wraps past the order is one interval on the doubled
+    residue line. A run of ``order`` values, where ``runs`` cuts a longer
+    one, always keeps a free value: at most ``order`` - 1 are taken or
+    held by the other runs. The runs are served as sorted ints, so by
+    their last value, since the mask with the higher last value is the
+    larger int; runs that share a last value may go in any order. Each
+    takes the least free value it holds, and the check fails at a run
+    that holds none (Glover's greedy, which finds a matching of unit jobs
+    to intervals whenever one exists). In ``ms`` the doubled line is a
+    relaxation: a value and its partner ``wrap`` above are not both
+    cleared, so a failure still proves that no labeling completes the
+    state.
     """
-    order = len(degrees)
-    # ends[r]: a run's last value minus its first for r unassigned edges, -1 if it is dropped
-    ends = [r * (k - 1) if r * (k - 1) < order - 1 else -1 for r in range(order)]
     tails = {}  # t: the untouched vertices' runs, sorted
 
     def matched(front, rests, weights, t: int, taken: int) -> bool:
-        runs = tails.get(t)
-        if runs is None:  # an untouched vertex's run starts at its degree, below the span
-            runs = tails[t] = sorted((d + ends[d], d) for d in map(degrees.__getitem__, touch[t:]) if ends[d] >= 0)
-        runs = runs.copy()
+        masks = tails.get(t)
+        if masks is None:  # an untouched vertex's run starts at its degree, below the span
+            masks = tails[t] = sorted(runs[d] << d for d in map(degrees.__getitem__, touch[t:]))
+        masks = masks.copy()
         for w, r in zip(front, rests):
-            if ends[r] >= 0:
-                lo = (weights[w] + r) % span
-                runs.append((lo + ends[r], lo))
-        runs.sort()
+            masks.append(runs[r] << (weights[w] + r) % span)
+        masks.sort()
         free = ~(taken | taken << wrap)
-        for hi, lo in runs:
-            rest = free >> lo
-            pos = lo + (rest & -rest).bit_length() - 1
-            if pos > hi:
+        for run in masks:
+            held = free & run
+            if not held:
                 return False
-            free ^= 1 << pos
+            free ^= held & -held
         return True
 
     return matched
@@ -268,35 +265,37 @@ def _search(plan, touch, degrees, k: int, span: int, wrap: int):
     other's; ``finals[i]`` is the one int bitmask of the values of the
     vertices closed before step i. An endpoint in a step's ``opened`` with
     weight w and r unassigned edges can still reach only [w + r, w + r*k]
-    (mod ``span``), of which the first ``order`` values are checked; a
-    label that leaves every checked value taken is cut. A run that wraps
-    past the span is matched against the taken bits shifted by ``wrap``
-    too: ``span`` in ``ms``, 0 in ``s``, where every run ends below k * max
-    degree + 1 = span.
+    (mod ``span``), of which the first ``order`` values, ``runs[r]``
+    shifted up by w + r, are checked; a label that leaves every checked
+    value taken is cut. A run that wraps past the span is matched against
+    the taken bits shifted by ``wrap`` too: ``span`` in ``ms``, 0 in
+    ``s``, where every run ends below k * max degree + 1 = span.
 
     Below a step with a ``front``, the search depends only on i,
     ``finals[i]`` and the front's weights mod ``span``, packed into one int
     key. A keyed step entered afresh with a key in ``failed`` returns to
     step i - 1 at once and counts no node; with any other key it adds it
-    to ``failed`` and runs the Hall check (``_hall``) on the vertices not
-    yet closed, the front and the untouched ``touch[t:]``, which reads only
-    that key's parts too: when their runs cannot take distinct free values,
-    the step fails as one out of labels, again without a node. A solution
-    ends the search, so a key matched later is a failed subtree's. Only
-    subtrees without a solution are skipped, in unchanged DFS order, so the
-    first solution is the same. ``failed`` is cleared at ``_FAILED_CAP`` keys.
+    to ``failed`` and runs the Hall check (``_hall``), on the same table
+    ``runs``, over the vertices not yet closed, the front and the
+    untouched ``touch[t:]``; it reads only the key's parts too. When their
+    runs cannot take distinct free values, the step fails as one out of
+    labels, again without a node. A solution ends the search, so a key
+    matched later is a failed subtree's. Only subtrees without a solution
+    are skipped, in unchanged DFS order, so the first solution is the
+    same. ``failed`` is cleared at ``_FAILED_CAP`` keys.
     """
     size = len(plan)
     order = len(degrees)
-    matched = _hall(degrees, touch, k, span, wrap)
+    # runs[r]: the r*(k - 1) + 1 values a vertex with r open edges can reach, as
+    # a run of bits from bit 0, at most ``order`` of them: an open vertex holds no
+    # value, so at most order - 1 are taken or held by the other open vertices,
+    # and any ``order`` in a row keep a free one
+    runs = [(1 << min(r * (k - 1) + 1, order)) - 1 for r in range(order)]
+    matched = _hall(degrees, touch, runs, span, wrap)
     labels = [0] * size  # in plan order
     finals = [0] * (size + 1)
     failed = set()
     weights = [0] * order
-    # runs[r]: the r*(k - 1) + 1 values a vertex with r open edges can reach, as
-    # a run of bits from bit 0, at most ``order`` of them: an open vertex holds no
-    # value, so at most order - 1 are taken and any ``order`` in a row hold a free one
-    runs = [(1 << min(r * (k - 1) + 1, order)) - 1 for r in range(order)]
     nodes = 0
     i = 0
     while 0 <= i < size:

@@ -36,6 +36,7 @@ from irrstrength.labelings import (
     Verdict,
     WeightProfile,
     _empty_slot,
+    _first_collision,
     _writer_doc,
     verify_profile,
 )
@@ -315,6 +316,39 @@ class TestVerifyProfile:
         labels[[1, 2 * n]] = labels[[2 * n, 1]]  # ac_1 and bc_n swap their labels 1 and 50000
         verdict = verify_modular(g, EdgeLabeling(labels))
         assert verdict == Verdict(ok=False, kind="residue-collision", pair=(0, 49999))
+
+
+def scan_collision(values):
+    """The first repeat in id order by one dict scan, as (first holder, repeat), or None."""
+    seen = {}
+    for v, value in enumerate(values):
+        if value in seen:
+            return seen[value], v
+        seen[value] = v
+    return None
+
+
+@pytest.mark.parametrize("size", [2, 3, 10, 1000, 100_000])
+def test_first_collision_matches_the_scan(size):
+    rng = np.random.default_rng(size)
+    distinct = rng.permutation(size).astype(np.int64) * 3 - size  # negatives too
+    plants = [[(0, 1)], [(0, size - 1)], [(size - 2, size - 1)]]  # at the start and at the end
+    plants += [list(zip(rng.integers(0, size, 4), rng.integers(0, size, 4))) for _ in range(6)]  # several places
+    cases = []
+    for pairs in plants:
+        values = distinct.copy()
+        for i, j in pairs:
+            values[j] = values[i]
+        cases.append(values)
+    cases.append(rng.integers(-3, 3, size))  # repeats everywhere
+    cases.append(np.full(size, 2**63 - 1))
+    for values in cases:
+        expected = scan_collision(values.tolist())
+        if expected is None:  # every plant copied a value onto itself
+            with pytest.raises(AssertionError, match="no collision"):
+                _first_collision(values)
+        else:
+            assert _first_collision(values) == expected
 
 
 class TestCertificateJson:

@@ -532,6 +532,37 @@ def _distinct_picks(choices) -> bool:
     return all(place(i, set()) for i in range(len(choices)))
 
 
+def _hall_at_k(degrees, touch, k: int, span: int, wrap: int):
+    """``solver._hall`` on the run table that ``solver._search`` builds at label range 1..k."""
+    order = len(degrees)
+    return solver._hall(degrees, touch, [(1 << min(r * (k - 1) + 1, order)) - 1 for r in range(order)], span, wrap)
+
+
+def _dropping_hall(degrees, touch, k: int, span: int, wrap: int):
+    """The interval Hall check as it kept each run as (last value, first value)
+    and dropped the runs of ``order`` or more values, kept to referee the masks."""
+    order = len(degrees)
+    ends = [r * (k - 1) if r * (k - 1) < order - 1 else -1 for r in range(order)]
+
+    def matched(front, rests, weights, t, taken):
+        runs = sorted((d + ends[d], d) for d in map(degrees.__getitem__, touch[t:]) if ends[d] >= 0)
+        for w, r in zip(front, rests):
+            if ends[r] >= 0:
+                lo = (weights[w] + r) % span
+                runs.append((lo + ends[r], lo))
+        runs.sort()
+        free = ~(taken | taken << wrap)
+        for hi, lo in runs:
+            rest = free >> lo
+            pos = lo + (rest & -rest).bit_length() - 1
+            if pos > hi:
+                return False
+            free ^= 1 << pos
+        return True
+
+    return matched
+
+
 class TestHallCheck:
     # solver._hall on hand-built states: ``degrees`` gives the order and the
     # untouched vertices' runs, ``front`` the open touched vertices with their
@@ -539,7 +570,7 @@ class TestHallCheck:
 
     def test_open_vertices_squeezed_into_too_few_values_are_cut(self):
         # s, k = 3: weight 2 with one edge left reaches [3, 5]; 4 is taken
-        matched = solver._hall([3] * 6, tuple(range(6)), 3, 10, 0)
+        matched = _hall_at_k([3] * 6, tuple(range(6)), 3, 10, 0)
         weights, taken = [2] * 6, 1 << 4
         assert 0b111 << 3 & ~taken  # each vertex alone passes the reach test
         assert matched((0, 1), (1, 1), weights, 6, taken)
@@ -548,15 +579,15 @@ class TestHallCheck:
     def test_untouched_vertices_take_their_degree_runs(self):
         # s, k = 2: vertex 0 (weight 0, one edge left) and the untouched
         # vertices 1 and 2 of degree 1 all reach only [1, 2]; vertex 3's run,
-        # [3, 6], has order or more values and is dropped
-        matched = solver._hall([1, 1, 1, 3], (0, 1, 2, 3), 2, 7, 0)
+        # [3, 6], has order values and always keeps a free one
+        matched = _hall_at_k([1, 1, 1, 3], (0, 1, 2, 3), 2, 7, 0)
         assert matched((0,), (1,), [0] * 4, 2, 0)
         assert not matched((0,), (1,), [0] * 4, 1, 0)
 
     def test_modular_arc_wrapping_past_the_order(self):
         # ms, order 5, k = 2: weight 3 with one edge left reaches residues 4 and 0,
         # unrolled as bits 4 and 5 of the doubled line
-        matched = solver._hall([4] * 5, tuple(range(5)), 2, 5, 5)
+        matched = _hall_at_k([4] * 5, tuple(range(5)), 2, 5, 5)
         weights = [3] * 5
         assert matched((0, 1), (1, 1), weights, 5, 0)
         assert not matched((0, 1, 2), (1, 1, 1), weights, 5, 0)
@@ -565,13 +596,44 @@ class TestHallCheck:
             assert not matched((0, 1), (1, 1), weights, 5, taken)
         assert not matched((0,), (1,), weights, 5, 1 << 0 | 1 << 4)
 
-    def test_full_length_modular_arc_is_dropped(self):
-        # ms, order 5: two edges left at k = 3 reach all 5 residues, so the run
-        # is dropped even with every residue taken; one edge at k = 4 reaches 4
-        # residues and is checked
-        degrees, touch, everything = [4] * 5, tuple(range(5)), 0b11111
-        assert solver._hall(degrees, touch, 3, 5, 5)((0,), (2,), [0] * 5, 5, everything)
-        assert not solver._hall(degrees, touch, 4, 5, 5)((0,), (1,), [0] * 5, 5, everything)
+    @pytest.mark.parametrize("mode", ["s", "ms"])
+    def test_agrees_with_the_dropping_greedy(self, mode):
+        # random states with no more closed and open vertices than the order, as
+        # the search builds: a run of order or more values keeps a free value,
+        # so keeping it, cut at order values, changes no verdict, and runs with
+        # equal last values may be served in any order
+        rng = random.Random(7)
+        long_runs = ties = cuts = 0
+        for _ in range(600):
+            order, k = rng.randint(3, 8), rng.randint(1, 4)
+            degrees = [rng.randint(1, min(4, order - 1)) for _ in range(order)]
+            span = order if mode == "ms" else k * max(degrees) + 1
+            vertices = rng.sample(range(order), order)
+            opens = rng.randint(0, order)
+            closed = rng.randint(0, min(order - opens, span))
+            t = rng.randint(0, opens)  # the open vertices touched
+            front = tuple(vertices[:t])
+            rests = tuple(rng.randint(1, degrees[w]) for w in front)
+            weights = [0] * order
+            for w, r in zip(front, rests):
+                weights[w] = rng.randint(degrees[w] - r, k * (degrees[w] - r))
+            taken = 0
+            while taken.bit_count() < closed:
+                taken |= 1 << rng.randrange(span)
+            # the vertices neither open nor counted closed sit between the front and
+            # the untouched suffix of the first-touch order, which starts at t + order - opens
+            touch = tuple(vertices[:t] + vertices[opens:] + vertices[t:opens])
+            pairs = [((weights[w] + r) % span, r) for w, r in zip(front, rests)]  # (first value, edges left)
+            pairs += [(degrees[w],) * 2 for w in vertices[t:opens]]
+            lasts = [lo + min(r * (k - 1), order - 1) for lo, r in pairs]
+            long_runs += any(r * (k - 1) + 1 >= order for _, r in pairs)
+            ties += len(set(lasts)) < len(lasts)
+            args = (degrees, touch, k, span, span if mode == "ms" else 0)
+            state = (front, rests, weights, t + order - opens, taken)
+            verdict = _hall_at_k(*args)(*state)
+            assert verdict == _dropping_hall(*args)(*state)
+            cuts += not verdict
+        assert long_runs >= 100 and ties >= 100 and cuts >= 50
 
     @pytest.mark.parametrize("mode", ["s", "ms"])
     def test_root_check_is_the_counting_bound(self, mode):
@@ -583,7 +645,7 @@ class TestHallCheck:
             degrees, lb = g.degrees().tolist(), lower_bound_s(g)
             for k in range(max(1, lb - 2), lb + 3):
                 span = g.order if mode == "ms" else k * max(degrees) + 1
-                matched = solver._hall(degrees, tuple(range(g.order)), k, span, span if mode == "ms" else 0)
+                matched = _hall_at_k(degrees, tuple(range(g.order)), k, span, span if mode == "ms" else 0)
                 assert matched((), (), [0] * g.order, 0, 0) == (k >= lb)
 
     @pytest.mark.parametrize("mode", ["s", "ms"])
@@ -615,7 +677,7 @@ class TestHallCheck:
                 for w, r in pairs
             ]
             feasible = _distinct_picks(choices)
-            verdict = solver._hall(degrees, tuple(vertices), k, span, order if mode == "ms" else 0)(
+            verdict = _hall_at_k(degrees, tuple(vertices), k, span, order if mode == "ms" else 0)(
                 front, rests, weights, closed + t, taken
             )
             if mode == "s":
