@@ -1,4 +1,4 @@
-"""Counting lower bounds and the residue-class infinity criterion.
+"""Counting lower bounds, the parity floor and the residue-class infinity criterion.
 
 The classical lower bound for the irregularity strength (Chartrand et al.,
 "Irregular networks", 1988) takes, over every pair of occurring degrees
@@ -9,16 +9,27 @@ pairs (d, n_d) from the graph's degree histogram, computed once per graph
 and stated in closed form by ``make_triangular_book``. A modular
 irregular labeling is in particular an irregular assignment (distinct
 residues force distinct weights), so the same value bounds the modular
-strength from below; for orders congruent to 2 mod 4 no modular irregular
-labeling exists at all.
+strength from below.
+
+The modular bound rises past it by parity. The weights sum to twice the
+label sum, an even number, while a modular labeling's residues are
+0..n - 1 once each. For an order of 2 mod 4 no weights with those
+residues sum to an even number, so no modular irregular labeling exists
+(the infinity property of Bača, Muthugurupackiam, Kathiresan and Ramya,
+2020); for an order of 0 mod 4 they always do. For an odd order
+``lower_bound_ms`` skips each k at which no weights w_v in [d_v, k * d_v]
+take every residue with an even sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .graphs import Graph
+
+_PARITY_BUDGET = 2**15  # state extensions one parity test may make before it answers feasible
 
 
 @dataclass(frozen=True)
@@ -69,11 +80,52 @@ def modular_infinite(g: Graph) -> bool:
     return g.order % 4 == 2
 
 
-def bound_report(g: Graph) -> BoundReport:
-    infinite = modular_infinite(g)
+def _even_residues(order: int, counts: tuple[tuple[int, ...], tuple[int, ...]], k: int) -> bool:
+    """Whether weights w_v in [d_v, k * d_v], over the degree histogram
+    ``counts`` (``Graph._degree_counts()``), can take distinct residues mod
+    ``order`` with an even sum: a dynamic program over the vertices in
+    ascending degree, whose state is the bitmask of the taken residues,
+    shifted up by one, with the sum's parity in bit 0.
+
+    It answers True at once for an order of 0 mod 4; when the largest
+    degree d has (k - 1) * d + 1 >= 2 * order, since 2 * order weights in a
+    row reach every residue of an odd order with both parities; and when
+    the states times the weights, summed over the vertices, pass
+    ``_PARITY_BUDGET``. So only False is exact. Orders of 2 mod 4, where it
+    is always False, are left to ``modular_infinite``.
+    """
+    degrees, numbers = counts
+    if order % 4 == 0 or (k - 1) * degrees[-1] + 1 >= 2 * order:
+        return True
+    states = {0}
+    extensions = 0
+    for d, n in zip(degrees, numbers):
+        moves = [2 << w % order | w & 1 for w in range(d, k * d + 1)]
+        for _ in range(n):
+            extensions += len(states) * len(moves)
+            if extensions > _PARITY_BUDGET:
+                return True
+            # a move whose residue is free sets its bit and flips the parity by its own
+            states = {s ^ m for s in states for m in moves if not s & m & -2}
+    return any(not s & 1 for s in states)
+
+
+@functools.lru_cache(maxsize=1024)
+def _parity_floor(order: int, counts: tuple[tuple[int, ...], tuple[int, ...]], k: int) -> int:
+    """The least k' >= k at which ``_even_residues`` holds; it holds once k' reaches 2 * order."""
+    while not _even_residues(order, counts, k):
+        k += 1
+    return k
+
+
+def lower_bound_ms(g: Graph) -> int | float:
+    """Lower bound for the modular irregularity strength: ``math.inf`` for an
+    order of 2 mod 4, else ``lower_bound_s`` raised past every k at which
+    the weights cannot take distinct residues with an even sum."""
     s_lower = lower_bound_s(g)
-    return BoundReport(
-        s_lower=s_lower,
-        ms_lower=math.inf if infinite else s_lower,
-        ms_infinite=infinite,
-    )
+    return math.inf if modular_infinite(g) else _parity_floor(g.order, g._degree_counts(), s_lower)
+
+
+def bound_report(g: Graph) -> BoundReport:
+    """``lower_bound_s``, ``lower_bound_ms`` and ``modular_infinite`` of ``g``."""
+    return BoundReport(s_lower=lower_bound_s(g), ms_lower=lower_bound_ms(g), ms_infinite=modular_infinite(g))

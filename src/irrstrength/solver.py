@@ -1,10 +1,11 @@
 """Exhaustive computation of exact strengths with certificates.
 
 ``solve`` deepens the largest label k from the degree-range counting
-bound, below which no labeling exists. At each k, ``_search`` runs a
-depth-first search over the one edge order that ``_search_plan`` builds,
-and its first solution, in canonical edge order, is the certificate. The
-search cuts a branch on five grounds, each documented where it is made:
+bound, in ms from its parity floor, below which no labeling exists. At
+each k, ``_search`` runs a depth-first search over the one edge order
+that ``_search_plan`` builds, and its first solution, in canonical edge
+order, is the certificate. The search cuts a branch on five grounds,
+each documented where it is made:
 
 - collision: a closed vertex's value, its weight mod ``_span``, is taken
   (``_search``);
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import has_small_component, lower_bound_s, modular_infinite
+from .bounds import _parity_floor, has_small_component, lower_bound_s, modular_infinite
 from .graphs import Graph, _integer
 from .labelings import (
     IRREGULAR,
@@ -250,7 +251,7 @@ def _hall(degrees, touch, runs, span: int, wrap: int):
 
 def _span(g: Graph, mode: str, k: int) -> int:
     """Values are weights mod this: the order in ``ms``; in ``s`` k * max degree + 1, past every weight."""
-    return g.order if mode == MODE_MS else k * int(g.degrees().max()) + 1
+    return g.order if mode == MODE_MS else k * g._degree_counts()[0][-1] + 1
 
 
 def _search(plan, touch, degrees, k: int, span: int, wrap: int):
@@ -358,6 +359,10 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     ms if ``modular_infinite`` (order 2 mod 4), and ``lower_bound_s`` raises ValueError
     for the empty graph and, in ms, for a component of order <= 2, where ms is undefined.
     Modular mode claims infinity on no other ground: exhausting the ceiling yields unknown.
+
+    k starts at ``lower_bound_s`` in s and at ``lower_bound_ms``, its parity floor, in ms.
+    A ``k_max`` below ``lower_bound_s`` raises ValueError; in ms, one from there up to
+    below the floor returns unknown after no search node.
     """
     if mode not in (MODE_S, MODE_MS):
         raise ValueError(f"mode must be '{MODE_S}' or '{MODE_MS}', got {reprlib.repr(mode)}")
@@ -375,7 +380,8 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     plan, touch = _search_plan(g)
     degrees = g.degrees().tolist()
     nodes = 0
-    for k in range(lb, k_max + 1):
+    first = lb if mode == MODE_S else _parity_floor(g.order, g._degree_counts(), lb)
+    for k in range(first, k_max + 1):
         span = _span(g, mode, k)
         best, searched = _search(plan, touch, degrees, k, span, span if mode == MODE_MS else 0)
         nodes += searched

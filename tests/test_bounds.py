@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -12,7 +13,8 @@ from irrstrength import (
     make_triangular_book,
     solve,
 )
-from irrstrength.bounds import has_small_component, modular_infinite
+from irrstrength import bounds
+from irrstrength.bounds import _even_residues, has_small_component, lower_bound_ms, modular_infinite
 
 from conftest import make_family, random_solid_graph
 
@@ -141,6 +143,124 @@ class TestModularInfinite:
     def test_matches_page_divisibility(self, n):
         # order n + 2 is 2 mod 4 exactly when n is 0 mod 4
         assert modular_infinite(make_triangular_book(n)) == (n % 4 == 0)
+
+
+def _weight_tuples(order: int, degrees, k: int) -> tuple[bool, bool]:
+    """(some weights w_v in [d_v, k * d_v] take distinct residues mod ``order``,
+    some do with an even sum), by enumerating every tuple of weights."""
+    distinct = False
+    for weights in itertools.product(*(range(d, k * d + 1) for d in degrees)):
+        if len({w % order for w in weights}) == order:
+            distinct = True
+            if sum(weights) % 2 == 0:
+                return True, True
+    return distinct, False
+
+
+def _histogram(degrees) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``Graph._degree_counts()`` of a degree multiset."""
+    counts = collections.Counter(degrees)
+    return tuple(sorted(counts)), tuple(counts[d] for d in sorted(counts))
+
+
+def _multisets():
+    """(order, ascending degrees, k) over orders 3..7, degrees 1..4 and k 1..4, at most 5,000 weight tuples each."""
+    for order in range(3, 8):
+        for degrees in itertools.combinations_with_replacement(range(1, 5), order):
+            for k in range(1, 5):
+                if math.prod((k - 1) * d + 1 for d in degrees) <= 5000:
+                    yield order, degrees, k
+
+
+@pytest.fixture
+def parity_memo():
+    """Clear the floor's memo before and after a test that patches what it depends on."""
+    bounds._parity_floor.cache_clear()
+    yield
+    bounds._parity_floor.cache_clear()
+
+
+class TestParityFloor:
+    def test_equals_weight_enumeration(self):
+        # exact wherever no shortcut applies: odd orders whose widest range is under 2 * order
+        cases = collections.Counter()
+        for order, degrees, k in _multisets():
+            if order % 2 and (k - 1) * degrees[-1] + 1 < 2 * order:
+                distinct, even = _weight_tuples(order, degrees, k)
+                assert _even_residues(order, _histogram(degrees), k) == even, (order, degrees, k)
+                cases[distinct, even] += 1
+        # 13 cases take distinct residues, each time with an odd sum only
+        assert cases == {(False, False): 275, (True, True): 82, (True, False): 13}
+
+    def test_shortcuts_hold_by_enumeration(self):
+        # order 0 mod 4, or an odd order with a range of 2 * order weights: wherever the
+        # residues can be distinct, they can be with an even sum, so True is never wrong
+        shortcuts = collections.Counter()
+        for order, degrees, k in _multisets():
+            wide = order % 2 and (k - 1) * degrees[-1] + 1 >= 2 * order
+            if order % 4 == 0 or wide:
+                assert _even_residues(order, _histogram(degrees), k)
+                distinct, even = _weight_tuples(order, degrees, k)
+                assert even == distinct, (order, degrees, k)
+                shortcuts["wide" if wide else "0 mod 4", distinct] += 1
+        assert shortcuts == {("0 mod 4", True): 84, ("0 mod 4", False): 40, ("wide", True): 38}
+
+    def test_two_mod_four_never_sums_even(self):
+        # the infinity property, by enumeration: distinct residues, but never an even sum
+        distinct = 0
+        for order, degrees, k in _multisets():
+            if order % 4 == 2:
+                found, even = _weight_tuples(order, degrees, k)
+                assert not even
+                distinct += found
+        assert distinct == 37
+
+    def test_spent_budget_passes_every_k(self, monkeypatch, parity_memo):
+        monkeypatch.setattr(bounds, "_PARITY_BUDGET", 0)
+        for order, degrees, k in _multisets():
+            if order % 4 != 2:
+                assert _even_residues(order, _histogram(degrees), k)
+        triangle = make_family("cycle", 3)
+        assert lower_bound_ms(triangle) == lower_bound_s(triangle) == 2
+
+    def test_triangle_skips_two(self, parity_memo):
+        # weights in [2, 4] take residues 2, 0, 1 mod 3 once each, so they sum to 9
+        triangle = make_family("cycle", 3)
+        assert (lower_bound_s(triangle), lower_bound_ms(triangle)) == (2, 3)
+        assert bound_report(triangle).ms_lower == 3
+
+    def test_hubs_take_the_wide_shortcut(self):
+        # B_99999 has order 100001; its hubs of degree 100000 reach every weight parity at k = 50000
+        g = make_triangular_book(99999)
+        assert lower_bound_ms(g) == lower_bound_s(g) == 50000
+
+    @pytest.mark.parametrize("n", (4, 8, 100000))
+    def test_orders_two_mod_four_are_infinite(self, n):
+        assert lower_bound_ms(make_triangular_book(n)) == math.inf
+
+
+class TestAtlasCensus:
+    """The floor against the solver over the networkx atlas: every graph on at most 7 vertices."""
+
+    def test_floor_against_the_solver(self):
+        nx = pytest.importorskip("networkx")
+        graphs = [Graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()[1:]]
+        graphs = [g for g in graphs if not has_small_component(g)]
+        finite = risen = above_s = explained = 0
+        for g in graphs:
+            floor, ms = lower_bound_ms(g), solve(g, "ms")
+            if ms.outcome != "finite":
+                assert floor == math.inf
+                continue
+            finite += 1
+            assert floor <= ms.k
+            if floor > lower_bound_s(g):
+                risen += 1
+                assert floor == ms.k
+            if ms.k > solve(g, "s").k:
+                above_s += 1
+                explained += floor == ms.k
+        assert (len(graphs), finite, risen, above_s, explained) == (1009, 894, 177, 112, 66)
 
 
 class TestLowerBoundMs:

@@ -338,6 +338,31 @@ class TestSolveVerb:
         assert (code, out, err) == (2, "", "error: k_max=2 is below the lower bound 3\n")
 
 
+class TestParityFloor:
+    """The triangle: the counting bound is 2, but weights in [2, 4] with residues 0, 1, 2 sum to 9, so ms >= 3."""
+
+    TEXT = "3 3\n0 1\n0 2\n1 2\n"
+
+    def test_bound_prints_the_floor(self, capsys, tmp_path):
+        graph_file = tmp_path / "c3.txt"
+        graph_file.write_text(self.TEXT)
+        code, out, _ = invoke(capsys, "bound", "--graph", str(graph_file))
+        assert (code, out) == (0, "s_lower 2\nms_infinite false\nms_lower 3\n")
+
+    def test_kmax_below_the_floor_is_unknown(self, capsys, tmp_path):
+        graph_file = tmp_path / "c3.txt"
+        graph_file.write_text(self.TEXT)
+        code, out, err = invoke(capsys, "solve", "--graph", str(graph_file), "--mode", "ms", "--kmax", "2")
+        assert (code, out) == (0, '{"mode":"ms","outcome":"unknown","kMax":2}\n')
+        assert err.startswith("stats nodes=0 ")
+
+    def test_kmax_below_the_counting_bound_is_usage_error(self, capsys, tmp_path):
+        graph_file = tmp_path / "c3.txt"
+        graph_file.write_text(self.TEXT)
+        code, out, err = invoke(capsys, "solve", "--graph", str(graph_file), "--mode", "ms", "--kmax", "1")
+        assert (code, out, err) == (2, "", "error: k_max=1 is below the lower bound 2\n")
+
+
 class TestSmallComponent:
     """A component of order <= 2 (here the isolated vertex 3): s is infinite, and ms and its bound are undefined."""
 

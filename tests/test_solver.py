@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -21,6 +22,7 @@ from irrstrength import (
     verify_modular,
 )
 from irrstrength import solver
+from irrstrength.bounds import lower_bound_ms
 from irrstrength.books import irregular_strength, modular_strength
 from irrstrength.solver import _search_plan
 
@@ -77,9 +79,9 @@ def _components(g):
 # search nodes per instance of the corpora of ``test_plans_are_pinned``
 NODE_PINS = {
     ("books", "s"): [17, 10, 10, 14, 19, 24, 30, 36, 43, 50, 58, 66, 75, 84, 94, 104, 115, 126],
-    ("books", "ms"): [17, 10, 10, 0, 397, 134, 244, 0, 118, 71, 58, 0, 4708, 2536, 1998, 0, 352, 157],
+    ("books", "ms"): [8, 10, 10, 0, 397, 134, 244, 0, 118, 71, 58, 0, 4708, 2536, 1998, 0, 352, 157],
     ("random", "s"): [33, 61, 33, 66, 26, 40, 37, 33, 20, 32, 51, 34, 21, 81, 107, 66, 28, 33, 29, 28],
-    ("random", "ms"): [33, 75, 0, 66, 23, 5018, 0, 0, 34, 0, 11_197, 96, 22, 81, 1203, 66, 0, 33, 678, 0],
+    ("random", "ms"): [33, 75, 0, 66, 23, 5018, 0, 0, 34, 0, 4_204, 96, 22, 81, 1203, 66, 0, 33, 678, 0],
 }
 
 
@@ -371,6 +373,39 @@ class TestMinimality:
         for n in (2, 3, 5, 6):
             g = make_triangular_book(n)
             assert solve(g, "s").k >= lower_bound_s(g)
+
+
+class TestParityFloor:
+    """``solve`` in ms deepens from ``lower_bound_ms``; the oracle referees every level it skips."""
+
+    def test_skipped_levels_have_no_labeling(self):
+        rng = random.Random(7)
+        draws = [random_solid_graph(rng, 3, 9, p) for p in (0.3, 0.4, 0.5) for _ in range(60)]
+        graphs = _pinned_corpus() + [g for g in draws if g.order % 2]
+        skipped = []
+        for g in graphs:
+            if g.order % 4 == 2:
+                continue
+            for k in range(lower_bound_s(g), lower_bound_ms(g)):
+                assert count_labelings(g, "ms", k) == 0
+                skipped.append((g.order, k))
+        # one level on each of 14 graphs, g10 of the pinned corpus at k = 3 and a triangle at k = 2 among them
+        assert len(skipped) == 14
+        assert (11, 3) in skipped and (3, 2) in skipped
+
+    def test_kmax_between_the_bounds_is_unknown(self):
+        g10 = _pinned_corpus()[10]
+        for g, k in ((C3, 2), (g10, 3)):
+            assert lower_bound_s(g) <= k < lower_bound_ms(g)
+            result = solve(g, "ms", SolverConfig(k_max=k))
+            assert (result.outcome, result.k_max, result.nodes) == ("unknown", k, 0)
+        with pytest.raises(ValueError, match="below the lower bound 2"):
+            solve(C3, "ms", SolverConfig(k_max=1))
+
+    def test_orders_two_mod_four_stay_infinite(self):
+        for g in (make_triangular_book(4), Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])):
+            assert lower_bound_ms(g) == math.inf
+            assert solve(g, "ms").outcome == "infinite"
 
 
 class TestSearchOrder:
