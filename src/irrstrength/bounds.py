@@ -23,13 +23,14 @@ take every residue with an even sum.
 
 from __future__ import annotations
 
-import functools
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
 from .graphs import Graph
 
-_PARITY_BUDGET = 2**15  # state extensions one parity test may make before it answers feasible
+_PARITY_BUDGET = 2**15  # state extensions, in machine words, one parity floor may make before it stops rising
 
 
 @dataclass(frozen=True)
@@ -80,40 +81,68 @@ def modular_infinite(g: Graph) -> bool:
     return g.order % 4 == 2
 
 
-def _even_residues(order: int, counts: tuple[tuple[int, ...], tuple[int, ...]], k: int) -> bool:
-    """Whether weights w_v in [d_v, k * d_v], over the degree histogram
-    ``counts`` (``Graph._degree_counts()``), can take distinct residues mod
-    ``order`` with an even sum: a dynamic program over the vertices in
-    ascending degree, whose state is the bitmask of the taken residues,
-    shifted up by one, with the sum's parity in bit 0.
+def _refute(order: int, counts: tuple[tuple[int, ...], tuple[int, ...]], k: int, budget: int) -> int | None:
+    """The budget left after proving that no weights w_v in [d_v, k * d_v],
+    over the degree histogram ``counts`` (``Graph._degree_counts()``), take
+    distinct residues mod ``order`` with an even sum; None when some do.
 
-    It answers True at once for an order of 0 mod 4; when the largest
-    degree d has (k - 1) * d + 1 >= 2 * order, since 2 * order weights in a
-    row reach every residue of an odd order with both parities; and when
-    the states times the weights, summed over the vertices, pass
-    ``_PARITY_BUDGET``. So only False is exact. Orders of 2 mod 4, where it
-    is always False, are left to ``modular_infinite``.
+    A depth-first search gives the vertices weights in ascending degree, and
+    each vertex its weights in ascending order, so its first descent gives
+    each vertex its least weight with a free residue. Its state is the
+    bitmask of the taken residues, shifted up by one, with the sum's parity
+    in bit 0. It enters each state once, so it stops at the first even
+    witness but refutes only after every reachable state. Each state it
+    opens is charged its vertex's weights times the state's machine words.
+
+    It answers None at once for an order of 0 mod 4; when the largest degree
+    d has (k - 1) * d + 1 >= 2 * order, since 2 * order weights in a row
+    reach every residue of an odd order with both parities; and when the
+    charges pass ``budget``. So only a refutation is exact. Orders of
+    2 mod 4, which are always refuted, are left to ``modular_infinite``.
     """
     degrees, numbers = counts
     if order % 4 == 0 or (k - 1) * degrees[-1] + 1 >= 2 * order:
-        return True
-    states = {0}
-    extensions = 0
-    for d, n in zip(degrees, numbers):
-        moves = [2 << w % order | w & 1 for w in range(d, k * d + 1)]
-        for _ in range(n):
-            extensions += len(states) * len(moves)
-            if extensions > _PARITY_BUDGET:
-                return True
-            # a move whose residue is free sets its bit and flips the parity by its own
-            states = {s ^ m for s in states for m in moves if not s & m & -2}
-    return any(not s & 1 for s in states)
+        return None
+    words = order // 64 + 1
+    ends = list(itertools.accumulate(numbers))
+    moves = {}
+    seen = set()
+    path = []  # each open state with an iterator over its moves not yet tried
+    state = 0
+    while True:
+        if len(path) == order:
+            if not state & 1:
+                return None
+        else:
+            d = degrees[bisect.bisect_right(ends, len(path))]
+            budget -= ((k - 1) * d + 1) * words  # charged before the moves are built
+            if budget < 0:
+                return None
+            if d not in moves:
+                moves[d] = [2 << w % order | w & 1 for w in range(d, k * d + 1)]
+            path.append((state, iter(moves[d])))
+        # enter the next unseen state one move below the deepest open state, closing spent ones
+        while path:
+            state, untried = path[-1]
+            for m in untried:
+                # a move whose residue is free sets its bit and flips the parity by its own
+                if not state & m & -2 and state ^ m not in seen:
+                    break
+            else:
+                path.pop()
+                continue
+            state ^= m
+            seen.add(state)
+            break
+        else:
+            return budget
 
 
-@functools.lru_cache(maxsize=1024)
 def _parity_floor(order: int, counts: tuple[tuple[int, ...], tuple[int, ...]], k: int) -> int:
-    """The least k' >= k at which ``_even_residues`` holds; it holds once k' reaches 2 * order."""
-    while not _even_residues(order, counts, k):
+    """The least k' >= k that ``_refute`` does not refute, all levels sharing
+    one ``_PARITY_BUDGET``; none is refuted once k' reaches 2 * order."""
+    budget = _PARITY_BUDGET
+    while (budget := _refute(order, counts, k, budget)) is not None:
         k += 1
     return k
 

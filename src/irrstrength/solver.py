@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _parity_floor, has_small_component, lower_bound_s, modular_infinite
+from .bounds import has_small_component, lower_bound_ms, lower_bound_s, modular_infinite
 from .graphs import Graph, _integer
 from .labelings import (
     IRREGULAR,
@@ -380,8 +380,7 @@ def solve(g: Graph, mode: str, cfg: SolverConfig | None = None) -> StrengthResul
     plan, touch = _search_plan(g)
     degrees = g.degrees().tolist()
     nodes = 0
-    first = lb if mode == MODE_S else _parity_floor(g.order, g._degree_counts(), lb)
-    for k in range(first, k_max + 1):
+    for k in range(lb if mode == MODE_S else lower_bound_ms(g), k_max + 1):
         span = _span(g, mode, k)
         best, searched = _search(plan, touch, degrees, k, span, span if mode == MODE_MS else 0)
         nodes += searched

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from irrstrength import (
     solve,
 )
 from irrstrength import bounds
-from irrstrength.bounds import _even_residues, has_small_component, lower_bound_ms, modular_infinite
+from irrstrength.bounds import _refute, has_small_component, lower_bound_ms, modular_infinite
 
 from conftest import make_family, random_solid_graph
 
@@ -172,12 +173,9 @@ def _multisets():
                     yield order, degrees, k
 
 
-@pytest.fixture
-def parity_memo():
-    """Clear the floor's memo before and after a test that patches what it depends on."""
-    bounds._parity_floor.cache_clear()
-    yield
-    bounds._parity_floor.cache_clear()
+def _even_residues(order: int, degrees, k: int) -> bool:
+    """Whether ``_refute`` leaves k open at a full budget."""
+    return _refute(order, _histogram(degrees), k, bounds._PARITY_BUDGET) is None
 
 
 class TestParityFloor:
@@ -187,7 +185,7 @@ class TestParityFloor:
         for order, degrees, k in _multisets():
             if order % 2 and (k - 1) * degrees[-1] + 1 < 2 * order:
                 distinct, even = _weight_tuples(order, degrees, k)
-                assert _even_residues(order, _histogram(degrees), k) == even, (order, degrees, k)
+                assert _even_residues(order, degrees, k) == even, (order, degrees, k)
                 cases[distinct, even] += 1
         # 13 cases take distinct residues, each time with an odd sum only
         assert cases == {(False, False): 275, (True, True): 82, (True, False): 13}
@@ -199,7 +197,7 @@ class TestParityFloor:
         for order, degrees, k in _multisets():
             wide = order % 2 and (k - 1) * degrees[-1] + 1 >= 2 * order
             if order % 4 == 0 or wide:
-                assert _even_residues(order, _histogram(degrees), k)
+                assert _even_residues(order, degrees, k)
                 distinct, even = _weight_tuples(order, degrees, k)
                 assert even == distinct, (order, degrees, k)
                 shortcuts["wide" if wide else "0 mod 4", distinct] += 1
@@ -215,15 +213,15 @@ class TestParityFloor:
                 distinct += found
         assert distinct == 37
 
-    def test_spent_budget_passes_every_k(self, monkeypatch, parity_memo):
+    def test_spent_budget_passes_every_k(self, monkeypatch):
         monkeypatch.setattr(bounds, "_PARITY_BUDGET", 0)
         for order, degrees, k in _multisets():
             if order % 4 != 2:
-                assert _even_residues(order, _histogram(degrees), k)
+                assert _even_residues(order, degrees, k)
         triangle = make_family("cycle", 3)
         assert lower_bound_ms(triangle) == lower_bound_s(triangle) == 2
 
-    def test_triangle_skips_two(self, parity_memo):
+    def test_triangle_skips_two(self):
         # weights in [2, 4] take residues 2, 0, 1 mod 3 once each, so they sum to 9
         triangle = make_family("cycle", 3)
         assert (lower_bound_s(triangle), lower_bound_ms(triangle)) == (2, 3)
@@ -233,6 +231,30 @@ class TestParityFloor:
         # B_99999 has order 100001; its hubs of degree 100000 reach every weight parity at k = 50000
         g = make_triangular_book(99999)
         assert lower_bound_ms(g) == lower_bound_s(g) == 50000
+
+    @pytest.mark.parametrize("n", (4097, 200001))
+    def test_wide_states_stop_at_the_first_charge(self, n):
+        # an odd cycle takes no shortcut: at k = (n + 1) / 2 each range holds every residue once.
+        # Its states are n bits wide, so the first state's charge, n weights times its machine
+        # words, passes the budget before a move is built; C_4097's n weights alone would not
+        g = make_family("cycle", n)
+        g._degree_counts()
+        tracemalloc.start()
+        report = bound_report(g)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert report.s_lower == report.ms_lower == (n + 1) // 2
+        assert peak < 64 * 1024
+
+    def test_refutes_only_within_the_budget(self, monkeypatch):
+        # g10 of the random corpus of tests/test_solve_pins.py: refuting k = 3 charges 1,038 extensions
+        rng = random.Random(0)
+        g10 = [random_solid_graph(rng, 8, 11, 0.3) for _ in range(20)][10]
+        assert (lower_bound_s(g10), lower_bound_ms(g10)) == (3, 4)
+        monkeypatch.setattr(bounds, "_PARITY_BUDGET", 1038)
+        assert lower_bound_ms(g10) == 4
+        monkeypatch.setattr(bounds, "_PARITY_BUDGET", 1037)
+        assert lower_bound_ms(g10) == 3
 
     @pytest.mark.parametrize("n", (4, 8, 100000))
     def test_orders_two_mod_four_are_infinite(self, n):
